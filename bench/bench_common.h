@@ -19,12 +19,9 @@ namespace sqod {
 // honest). Counters are sourced from the engine's MetricsRegistry, so they
 // match the CLI's --stats-json output key for key.
 //
-// SQOD_EVAL_MODE=interpret|compile in the environment overrides
-// options.mode for every benchmark in the process — the CI bench-smoke job
-// runs the suite under both modes and diffs the reports
-// (scripts/compare_eval_modes.py). SQOD_EVAL_THREADS=N likewise overrides
-// options.threads, so any evaluation bench (E1/E2/E4/...) can be swept
-// across intra-query parallelism without a recompile:
+// SQOD_EVAL_THREADS=N in the environment overrides options.threads for
+// every benchmark in the process, so any evaluation bench (E1/E2/...) can
+// be swept across intra-query parallelism without a recompile:
 //   SQOD_EVAL_THREADS=4 ./bench_e2_pushdown ...
 // The work counters are thread-count-invariant by the parallel contract,
 // so a sweep's reports diff clean on everything but wall time.
@@ -32,13 +29,6 @@ inline std::vector<Tuple> RunAndReport(const Program& program,
                                        const Database& edb,
                                        benchmark::State& state,
                                        EvalOptions options = {}) {
-  if (const char* mode = std::getenv("SQOD_EVAL_MODE")) {
-    if (std::strcmp(mode, "interpret") == 0) {
-      options.mode = EvalMode::kInterpret;
-    } else if (std::strcmp(mode, "compile") == 0) {
-      options.mode = EvalMode::kCompile;
-    }
-  }
   if (const char* threads = std::getenv("SQOD_EVAL_THREADS")) {
     const int n = std::atoi(threads);
     if (n >= 1) options.threads = n;
@@ -61,12 +51,10 @@ inline std::vector<Tuple> RunAndReport(const Program& program,
   state.counters["duplicates"] = counter("eval/duplicate_derivations");
   state.counters["probes"] = counter("eval/join_probes");
   state.counters["answers"] = static_cast<double>(answers.value().size());
-  if (options.mode == EvalMode::kCompile) {
-    // Plan-lowering cost and executed bytecode ops, per iteration like the
-    // other counters (zero in interpret mode, so only reported here).
-    state.counters["compile_ns"] = counter("eval/compile_ns");
-    state.counters["bytecode_ops"] = counter("eval/bytecode_ops");
-  }
+  // Plan-lowering cost and executed bytecode ops, per iteration like the
+  // other counters.
+  state.counters["compile_ns"] = counter("eval/compile_ns");
+  state.counters["bytecode_ops"] = counter("eval/bytecode_ops");
   return answers.take();
 }
 

@@ -32,8 +32,11 @@ _NAME_RE = re.compile(r"^BM_E12_(Maintain|Recompute)(\w+)/(\d+)/(\d+)$")
 
 
 def load_benchmarks(path):
-    """Returns {name: real_time_ns}, min over repetitions (see
-    compare_eval_modes.py for why min-of-N)."""
+    """Returns {name: real_time_ns}, min over repetitions.
+
+    Machine noise is one-sided additive, so min-of-N is the stable
+    estimator for a regression gate.
+    """
     try:
         with open(path) as f:
             report = json.load(f)

@@ -118,8 +118,10 @@ ArgSrc LowerArg(CompiledRule* out, const ArgRef& a) {
 }  // namespace
 
 CompiledRule CompileRulePlan(const RulePlan& plan,
-                             const std::set<PredId>& idb_preds) {
+                             const std::set<PredId>& idb_preds,
+                             bool head_bound) {
   CompiledRule out;
+  out.head_bound = head_bound;
   out.rule_index = plan.rule_index;
   out.delta_subgoal = plan.delta_subgoal;
   out.num_regs = plan.num_vars;
@@ -143,6 +145,11 @@ CompiledRule CompileRulePlan(const RulePlan& plan,
   // is capped at Relation::kMaxArity and plans are compiled in bulk at
   // Prepare, so per-level heap churn would dominate the lowering cost.
   std::vector<uint8_t> reg_bound(plan.num_vars, 0);
+  if (head_bound) {
+    for (const ArgRef& a : plan.head) {
+      if (a.var >= 0) reg_bound[a.var] = 1;
+    }
+  }
 
   for (const PlanStep& step : plan.steps) {
     switch (step.kind) {
@@ -158,6 +165,7 @@ CompiledRule CompileRulePlan(const RulePlan& plan,
       case PlanStep::Kind::kNegation: {
         NegInfo neg;
         neg.pred = step.pred;
+        neg.body_index = step.index;
         neg.source = idb_preds.count(step.pred) > 0 ? RelSource::kIdbTotal
                                                     : RelSource::kEdb;
         neg.arity = static_cast<int>(step.args.size());
@@ -186,12 +194,12 @@ CompiledRule CompileRulePlan(const RulePlan& plan,
         }
         lvl.arity = static_cast<int>(step.args.size());
 
-        // The probe mask: constants plus registers bound by EARLIER levels.
-        // This is exactly the mask the interpreter gathers dynamically —
-        // boundness at a plan position does not depend on the data, and a
-        // variable first bound by this atom is unbound for masking purposes
-        // even when it repeats within the atom (the repeat becomes an
-        // unmasked register compare against the freshly loaded column).
+        // The probe mask: constants plus registers bound by EARLIER levels
+        // (or by the head prologue). Boundness at a plan position does not
+        // depend on the data, and a variable first bound by this atom is
+        // unbound for masking purposes even when it repeats within the atom
+        // (the repeat becomes an unmasked register compare against the
+        // freshly loaded column).
         uint64_t first_load = 0;
         int32_t atom_loads[Relation::kMaxArity];
         int num_atom_loads = 0;
@@ -354,60 +362,92 @@ inline const Database* SourceDb(RelSource source, const VmContext& ctx) {
   return nullptr;
 }
 
-// One open join level in the generic executor.
+// One open join level in the generic executor. Deliberately trivial: the
+// opener sets every field it later reads, so the per-activation cursor
+// stack costs no initialization.
 struct Cursor {
-  const Relation* rel = nullptr;
-  const Value* row_data = nullptr;  // current row
+  const Relation* rel;
+  const Value* row_data;  // current row
   // Index-probe chain state (is_scan == false):
-  int32_t probe_row = -1;
-  const int32_t* next = nullptr;
+  int32_t probe_row;
+  const int32_t* next;
   // Scan state (is_scan == true):
-  int64_t scan_row = 0;
-  int64_t scan_end = 0;
-  bool is_scan = false;
-  uint32_t actions_ip = 0;  // probe_ip or scan_ip, chosen when opened
-  int32_t level = -1;
+  int64_t scan_row;
+  int64_t scan_end;
+  bool is_scan;
+  RowView view;
+  uint32_t actions_ip;  // probe_ip or scan_ip, chosen when opened
+  int32_t level;
 };
 
-}  // namespace
+// True when row `r` is visible under `view`. Probe chains and scans both
+// include tombstones; every view filters them before the probe counter.
+inline bool Visible(const Relation* rel, int64_t r, RowView view,
+                    int64_t old_v) {
+  switch (view) {
+    case RowView::kLive: return rel->live(r);
+    case RowView::kOld: return rel->LiveAt(r, old_v);
+    case RowView::kAll: return true;
+  }
+  return false;
+}
 
-bool ResolveRelations(const CompiledRule& rule, VmContext* ctx) {
-  // Pointers into Database's unordered_map are invalidated by rehash on
-  // insert of a *new* predicate, so relations are re-resolved per rule
-  // activation and never cached across iterations.
-  ctx->level_rels->clear();
-  for (const LevelInfo& lvl : rule.levels) {
-    const Database* db = SourceDb(lvl.source, *ctx);
-    ctx->level_rels->push_back(db == nullptr ? nullptr : db->Find(lvl.pred));
+// Membership of `key` in `rel` under `view` (CHECK_NEG).
+inline bool Present(const Relation* rel, const Value* key, int n,
+                    RowView view, int64_t old_v) {
+  if (view == RowView::kLive) return rel->Contains(key, n);
+  const int32_t r = rel->FindRow(key, n);
+  return r >= 0 && (view == RowView::kAll || rel->LiveAt(r, old_v));
+}
+
+// Hands each head tuple to the caller's sink (maintenance).
+struct SinkEmit {
+  HeadSink* sink;
+  int arity;
+  int64_t firings = 0;
+
+  bool operator()(const Value* head) {
+    ++firings;
+    return sink->Accept(head, arity);
   }
-  ctx->neg_rels->clear();
-  for (const NegInfo& neg : rule.negs) {
-    const Database* db = SourceDb(neg.source, *ctx);
-    ctx->neg_rels->push_back(db == nullptr ? nullptr : db->Find(neg.pred));
-  }
-  // A missing/empty relation at the FIRST level means zero work — exactly
-  // the interpreter's early return before any counter moves. Deeper levels
-  // must still run (outer probes are observable), so only level 0 prunes.
-  if (!rule.levels.empty()) {
-    const Relation* r0 = (*ctx->level_rels)[0];
-    if (r0 == nullptr || r0->empty()) return false;
+  void Flush(RuleProfile* prof) const { prof->firings += firings; }
+};
+
+// Loads the head registers of a head-bound plan from the candidate tuple.
+// False when the candidate contradicts the head: a constant mismatch, or a
+// repeated head variable bound to two different values.
+bool LoadHead(const CompiledRule& rule, const Value* t, Value* regs) {
+  const ArgSrc* head = rule.args_pool.data() + rule.head_off;
+  for (int i = 0; i < rule.head_arity; ++i) {
+    const ArgSrc s = head[i];
+    if (IsConstSrc(s)) {
+      if (rule.consts[ConstIdx(s)] != t[i]) return false;
+    } else if (std::find(head, head + i, s) == head + i) {
+      regs[s] = t[i];
+    } else if (regs[s] != t[i]) {
+      return false;
+    }
   }
   return true;
 }
 
-void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
+// The generic dispatch loop. `Emit` is the evaluation emit or the
+// maintenance sink; kViews selects per-level row views. Both are fixed per
+// activation, so the evaluation instantiation pays no per-row view test
+// and no per-tuple emit branch.
+template <typename Emit, bool kViews>
+void RunLoop(const CompiledRule& rule, VmContext* ctx, Emit emit) {
   const Instr* code = rule.code.data();
   const Value* consts = rule.consts.data();
   const ArgSrc* args_pool = rule.args_pool.data();
   Value* regs = ctx->regs->data();
   const std::vector<const Relation*>& level_rels = *ctx->level_rels;
   const std::vector<const Relation*>& neg_rels = *ctx->neg_rels;
-  RuleProfile* prof = ctx->profile;
+  const int64_t old_v = ctx->old_version;
 
   // Local accumulators, flushed once on exit: the dispatch loop touches no
   // profile memory per instruction.
   int64_t ops = 0, probes = 0, cmps = 0;
-  int64_t firings = 0, dups = 0, derived = 0;
 
   // The cursor stack: one entry per open join level, innermost on top.
   // Realistic rules have a handful of levels; the heap path covers the rest.
@@ -434,7 +474,7 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
   };
 
   uint32_t ip = 0;
-  bool done = false;
+  bool done = rule.head_bound && !LoadHead(rule, ctx->head_in, regs);
   while (!done) {
     const Instr& in = code[ip];
     ++ops;
@@ -448,6 +488,7 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
         cur.rel = rel;
         cur.level = in.b;
         cur.row_data = nullptr;
+        cur.view = kViews ? ctx->views[lvl.body_index] : RowView::kLive;
         if (rel == nullptr || rel->empty()) {
           // Level cannot match: backtrack (fall through to advance below).
           cur.is_scan = true;
@@ -512,7 +553,12 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
           for (int k = 0; k < neg.args_len; ++k) {
             key[k] = src_value(args_pool[neg.args_off + k]);
           }
-          present = rel->Contains(key, neg.args_len);
+          if constexpr (kViews) {
+            present = Present(rel, key, neg.args_len,
+                              ctx->views[neg.body_index], old_v);
+          } else {
+            present = rel->Contains(key, neg.args_len);
+          }
         }
         if (!present) {
           ++ip;
@@ -521,25 +567,11 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
         break;
       }
       case OpCode::kEmitHead: {
-        ++firings;
         Value head[Relation::kMaxArity];
         for (int i = 0; i < rule.head_arity; ++i) {
           head[i] = src_value(args_pool[rule.head_off + i]);
         }
-        if (ctx->idb_total->Contains(rule.head_pred, head, rule.head_arity) ||
-            ctx->out_new->Contains(rule.head_pred, head, rule.head_arity)) {
-          ++dups;
-        } else {
-          ctx->out_new->Insert(rule.head_pred, head, rule.head_arity);
-          ++derived;
-          ++*ctx->derived_count;
-          if (ctx->max_derived >= 0 &&
-              *ctx->derived_count > ctx->max_derived) {
-            *ctx->overflow = true;
-            done = true;
-            break;
-          }
-        }
+        done = !emit(head);
         break;  // complete match consumed: advance the innermost cursor
       }
     }
@@ -553,16 +585,18 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
         break;
       }
       Cursor& cur = stack[depth - 1];
+      // Invisible rows — tombstones, or rows outside the level's view —
+      // and, at a partitioned level 0, rows of other partitions are skipped
+      // before the probe counter, like the specialized kernels do.
+      auto skip = [&](int64_t r) {
+        const bool visible = kViews ? Visible(cur.rel, r, cur.view, old_v)
+                                    : cur.rel->live(r);
+        return !visible || (partitioned && cur.level == 0 &&
+                            cur.rel->row_hash(r) % part_count != part_index);
+      };
       bool have_row = false;
-      // Tombstoned rows — and, at a partitioned level 0, rows of other
-      // partitions — are skipped before the probe counter, matching the
-      // interpreter and the specialized kernels.
-      const bool filter_part = partitioned && cur.level == 0;
       if (cur.is_scan) {
-        while (cur.scan_row < cur.scan_end &&
-               (!cur.rel->live(cur.scan_row) ||
-                (filter_part &&
-                 cur.rel->row_hash(cur.scan_row) % part_count != part_index))) {
+        while (cur.scan_row < cur.scan_end && skip(cur.scan_row)) {
           ++cur.scan_row;
         }
         if (cur.scan_row < cur.scan_end) {
@@ -571,10 +605,7 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
           have_row = true;
         }
       } else {
-        while (cur.probe_row >= 0 &&
-               (!cur.rel->live(cur.probe_row) ||
-                (filter_part &&
-                 cur.rel->row_hash(cur.probe_row) % part_count != part_index))) {
+        while (cur.probe_row >= 0 && skip(cur.probe_row)) {
           cur.probe_row = cur.next[cur.probe_row];
         }
         if (cur.probe_row >= 0) {
@@ -584,7 +615,7 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
         }
       }
       if (have_row) {
-        ++probes;  // one candidate row examined, like the interpreter
+        ++probes;  // one candidate row examined
         ip = cur.actions_ip;
         break;
       }
@@ -592,12 +623,61 @@ void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
     }
   }
 
+  RuleProfile* prof = ctx->profile;
   prof->probes += probes;
   prof->cmp_checks += cmps;
+  prof->ops += ops;
+  emit.Flush(prof);
+}
+
+}  // namespace
+
+void EvalEmit::Flush(RuleProfile* prof) const {
   prof->firings += firings;
   prof->duplicates += dups;
   prof->derived += derived;
-  prof->ops += ops;
+}
+
+bool ResolveRelations(const CompiledRule& rule, VmContext* ctx) {
+  // Pointers into Database's unordered_map are invalidated by rehash on
+  // insert of a *new* predicate, so relations are re-resolved per rule
+  // activation and never cached across iterations.
+  ctx->level_rels->clear();
+  for (const LevelInfo& lvl : rule.levels) {
+    const Database* db = SourceDb(lvl.source, *ctx);
+    ctx->level_rels->push_back(db == nullptr ? nullptr : db->Find(lvl.pred));
+  }
+  ctx->neg_rels->clear();
+  for (const NegInfo& neg : rule.negs) {
+    const Database* db = SourceDb(neg.source, *ctx);
+    ctx->neg_rels->push_back(db == nullptr ? nullptr : db->Find(neg.pred));
+  }
+  // A missing/empty relation at the FIRST level means zero work: no
+  // counter can move. Deeper levels must still run (outer probes are
+  // observable), so only level 0 prunes.
+  if (!rule.levels.empty()) {
+    const Relation* r0 = (*ctx->level_rels)[0];
+    if (r0 == nullptr || r0->empty()) return false;
+  }
+  return true;
+}
+
+void RunBytecode(const CompiledRule& rule, VmContext* ctx) {
+  if (ctx->sink != nullptr) {
+    SinkEmit emit{ctx->sink, rule.head_arity};
+    if (ctx->views != nullptr) {
+      RunLoop<SinkEmit, true>(rule, ctx, emit);
+    } else {
+      RunLoop<SinkEmit, false>(rule, ctx, emit);
+    }
+    return;
+  }
+  EvalEmit emit{ctx, &rule};
+  if (ctx->views != nullptr) {
+    RunLoop<EvalEmit, true>(rule, ctx, emit);
+  } else {
+    RunLoop<EvalEmit, false>(rule, ctx, emit);
+  }
 }
 
 }  // namespace sqod

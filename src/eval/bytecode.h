@@ -15,16 +15,18 @@
 namespace sqod {
 
 // Flat register bytecode for rule plans (docs/evaluator.md, "Compiled
-// bytecode"). At Prepare time each RulePlan is lowered into a dense
-// instruction array over rule-local value registers: join levels open as
-// SCAN_FULL / SCAN_DELTA / PROBE_INDEX ops with statically-resolved
-// relation sources and probe masks (boundness is a compile-time fact of the
-// plan order), per-row column ops load or check registers, filters compare
-// pre-resolved sources, and EMIT_HEAD materializes the head. The executor
-// is a tight dispatch loop with an explicit cursor stack — no per-tuple
-// Kind switches over plan objects, no dynamic boundness tests, no binding
-// trail. Specialized kernels (src/eval/kernel.h) bypass even the dispatch
-// loop for the dominant shapes.
+// bytecode"), the only code that runs a rule body: full evaluation, the
+// parallel partition tasks and incremental view maintenance all execute
+// it. At Prepare time each RulePlan is lowered into a dense instruction
+// array over rule-local value registers: join levels open as SCAN_FULL /
+// SCAN_DELTA / PROBE_INDEX ops with statically-resolved relation sources
+// and probe masks (boundness is a compile-time fact of the plan order),
+// per-row column ops load or check registers, filters compare pre-resolved
+// sources, and EMIT_HEAD materializes the head. The executor is a tight
+// dispatch loop with an explicit cursor stack — no per-tuple Kind switches
+// over plan objects, no dynamic boundness tests, no binding trail.
+// Specialized kernels (src/eval/kernel.h) bypass even the dispatch loop
+// for the dominant shapes.
 
 enum class OpCode : uint8_t {
   // Join-level openers; `b` indexes CompiledRule::levels. The opcode
@@ -45,7 +47,7 @@ enum class OpCode : uint8_t {
   kFilterCmp,  // EvalCmp(src b, CmpOp a, src c) else next row
   kCheckNeg,   // negs[b] absent else next row
   // Head:
-  kEmitHead,  // materialize head, dedup, stage; then next row
+  kEmitHead,  // materialize head, evaluation emit or sink; then next row
 };
 
 const char* OpCodeName(OpCode op);
@@ -75,7 +77,7 @@ struct Instr {
 // Static description of one join level (one positive subgoal).
 struct LevelInfo {
   PredId pred = -1;
-  int body_index = -1;  // into rule.body, for display
+  int body_index = -1;  // into rule.body
   RelSource source = RelSource::kEdb;
   int arity = 0;
   uint64_t mask = 0;      // bound columns (compile-time constant)
@@ -90,6 +92,7 @@ struct LevelInfo {
 // Static description of one negation check.
 struct NegInfo {
   PredId pred = -1;
+  int body_index = -1;  // into rule.body
   RelSource source = RelSource::kEdb;  // kEdb or kIdbTotal
   int arity = 0;
   uint32_t args_off = 0;  // ArgSrc run in args_pool
@@ -114,6 +117,10 @@ struct CompiledRule {
   PredId head_pred = -1;
   int head_arity = 0;
   uint32_t head_off = 0;  // ArgSrc run in args_pool
+  // Head-bound plan (DRed support checks): a prologue loads the head
+  // registers from VmContext::head_in before the first level, and the
+  // probe masks treat them as bound.
+  bool head_bound = false;
   KernelId kernel = KernelId::kGeneric;
 
   std::vector<Instr> code;
@@ -170,12 +177,32 @@ struct CompiledProgram {
 // one artifact serves naive and semi-naive iteration, probes and scans.
 Result<CompiledProgram> CompileProgram(const Program& program);
 
-// Lowers one plan. `strata`/`stratum` identify the rule's stratum so
-// same-stratum IDB subgoals resolve to delta/total correctly.
+// Lowers one plan. `idb_preds` resolves each level's RelSource (the
+// plan's delta_subgoal reads the delta). `head_bound` lowers a plan built
+// with BuildPlan(..., head_bound = true): its head registers count as
+// bound from the start.
 CompiledRule CompileRulePlan(const RulePlan& plan,
-                             const std::set<PredId>& idb_preds);
+                             const std::set<PredId>& idb_preds,
+                             bool head_bound = false);
 
 struct RuleProfile;
+
+// Which rows a join level or negation check sees. Evaluation reads live
+// rows only; incremental maintenance joins the live state, the previous
+// snapshot (Relation::LiveAt at VmContext::old_version) and the finite
+// change relations (every row) in one activation.
+enum class RowView : uint8_t { kLive, kOld, kAll };
+
+// Receives the head tuples of a maintenance activation in place of
+// EMIT_HEAD's dedup into out_new. Returning false stops the activation
+// (a support check needs one witness, not all of them).
+class HeadSink {
+ public:
+  virtual bool Accept(const Value* head, int n) = 0;
+
+ protected:
+  ~HeadSink() = default;
+};
 
 // Runtime context for one compiled-rule activation, shared by the generic
 // executor and the specialized kernels.
@@ -203,16 +230,57 @@ struct VmContext {
   std::vector<Value>* regs = nullptr;
   std::vector<const Relation*>* level_rels = nullptr;
   std::vector<const Relation*>* neg_rels = nullptr;
+
+  // Incremental maintenance only (src/eval/maintain.cc sets these per
+  // activation; evaluation leaves them unset). `views`, indexed by
+  // LevelInfo::body_index / NegInfo::body_index, picks each level's and
+  // negation check's rows; null = all live. `sink` replaces the evaluation
+  // emit. `head_in` is the candidate tuple of a head-bound plan.
+  const RowView* views = nullptr;
+  int64_t old_version = 0;  // the snapshot RowView::kOld reads
+  HeadSink* sink = nullptr;
+  const Value* head_in = nullptr;
 };
 
 // Resolves the relations a plan reads (per level and negation) into the
 // context's scratch vectors. Returns false when a *positive* level resolves
 // to a missing or empty relation — the plan cannot fire and need not run.
+// The maintainer fills level_rels / neg_rels itself, by body position.
 bool ResolveRelations(const CompiledRule& rule, VmContext* ctx);
 
-// Executes one compiled rule with the generic bytecode dispatch loop.
-// Counter semantics match the interpreter exactly (docs/evaluator.md).
-// Callers must have run ResolveRelations first.
+// The evaluation emit (EMIT_HEAD): counts the firing, dedups the head
+// against idb_total and out_new, stages a new tuple in out_new and counts
+// it derived. Returns false when max_derived overflows (the activation
+// stops). Shared by the generic loop and the specialized kernels.
+struct EvalEmit {
+  VmContext* ctx;
+  const CompiledRule* rule;
+  int64_t firings = 0, dups = 0, derived = 0;
+
+  bool operator()(const Value* head) {
+    ++firings;
+    const int n = rule->head_arity;
+    if (ctx->idb_total->Contains(rule->head_pred, head, n) ||
+        ctx->out_new->Contains(rule->head_pred, head, n)) {
+      ++dups;
+      return true;
+    }
+    ctx->out_new->Insert(rule->head_pred, head, n);
+    ++derived;
+    ++*ctx->derived_count;
+    if (ctx->max_derived >= 0 && *ctx->derived_count > ctx->max_derived) {
+      *ctx->overflow = true;
+      return false;
+    }
+    return true;
+  }
+  void Flush(RuleProfile* prof) const;
+};
+
+// Executes one compiled rule with the generic bytecode dispatch loop: row
+// views when ctx->views is set, the sink when ctx->sink is set, the
+// evaluation emit otherwise. The relation vectors must be filled
+// (ResolveRelations, or the maintainer).
 void RunBytecode(const CompiledRule& rule, VmContext* ctx);
 
 }  // namespace sqod

@@ -3,16 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <map>
 #include <memory>
-#include <set>
 
 #include "src/base/check.h"
-#include "src/eval/bindings.h"
 #include "src/eval/bytecode.h"
 #include "src/eval/executor.h"
 #include "src/eval/kernel.h"
-#include "src/eval/plan.h"
 #include "src/obs/export.h"
 
 namespace sqod {
@@ -77,147 +73,6 @@ std::string RenderRuleProfileTable(const std::vector<RuleProfile>& profiles) {
 
 namespace {
 
-// Runtime context shared by all rules during one evaluation.
-struct Context {
-  const Program* program;
-  const Database* edb;
-  Database* idb_total;        // all IDB tuples derived so far
-  const Database* idb_delta;  // last iteration's new tuples (may be null)
-  Database* out_new;          // staging area for this iteration's new tuples
-  EvalOptions options;
-  RuleProfile* rule_stats;    // profile slot of the rule being evaluated
-  std::set<PredId> idb_preds;
-  int64_t* derived_count;
-  bool* overflow;
-  // Hash partitioning of the plan's first join step (parallel evaluation);
-  // mirrors VmContext::part_count / part_index.
-  int part_count = 1;
-  int part_index = 0;
-};
-
-const Relation* RelationFor(const Context& ctx, const RulePlan& plan,
-                            int body_index, PredId pred) {
-  if (ctx.idb_preds.count(pred) == 0) return ctx.edb->Find(pred);
-  if (body_index == plan.delta_subgoal) {
-    return ctx.idb_delta == nullptr ? nullptr : ctx.idb_delta->Find(pred);
-  }
-  return ctx.idb_total->Find(pred);
-}
-
-void DeriveHead(const RulePlan& plan, const Bindings& bindings, Context* ctx) {
-  ++ctx->rule_stats->firings;
-  Value head[Relation::kMaxArity];
-  const int n = static_cast<int>(plan.head.size());
-  for (int i = 0; i < n; ++i) head[i] = ArgValue(plan.head[i], bindings);
-  PredId pred = plan.head_pred;
-  if (ctx->idb_total->Contains(pred, head, n) ||
-      ctx->out_new->Contains(pred, head, n)) {
-    ++ctx->rule_stats->duplicates;
-    return;
-  }
-  ctx->out_new->Insert(pred, head, n);
-  ++ctx->rule_stats->derived;
-  ++*ctx->derived_count;
-  if (ctx->options.max_derived >= 0 &&
-      *ctx->derived_count > ctx->options.max_derived) {
-    *ctx->overflow = true;
-  }
-}
-
-// Recursive join over the plan steps.
-void RunSteps(const RulePlan& plan, size_t step_index, Bindings* bindings,
-              Context* ctx) {
-  if (*ctx->overflow) return;
-  if (step_index == plan.steps.size()) {
-    DeriveHead(plan, *bindings, ctx);
-    return;
-  }
-  const PlanStep& step = plan.steps[step_index];
-  switch (step.kind) {
-    case PlanStep::Kind::kComparison: {
-      ++ctx->rule_stats->cmp_checks;
-      if (EvalCmp(ArgValue(step.lhs, *bindings), step.op,
-                  ArgValue(step.rhs, *bindings))) {
-        RunSteps(plan, step_index + 1, bindings, ctx);
-      }
-      return;
-    }
-    case PlanStep::Kind::kNegation: {
-      Value key[Relation::kMaxArity];
-      const int n = static_cast<int>(step.args.size());
-      for (int i = 0; i < n; ++i) key[i] = ArgValue(step.args[i], *bindings);
-      // Negated IDB predicates live in strictly lower strata, already
-      // completed in idb_total; EDB predicates live in the input database.
-      const Relation* rel = ctx->idb_preds.count(step.pred) > 0
-                                ? ctx->idb_total->Find(step.pred)
-                                : ctx->edb->Find(step.pred);
-      if (rel == nullptr || !rel->Contains(key, n)) {
-        RunSteps(plan, step_index + 1, bindings, ctx);
-      }
-      return;
-    }
-    case PlanStep::Kind::kJoin: {
-      const Relation* rel = RelationFor(*ctx, plan, step.index, step.pred);
-      if (rel == nullptr || rel->empty()) return;
-
-      // Gather the probe key (bound positions) straight from the bindings.
-      uint64_t mask = 0;
-      Value key[Relation::kMaxArity];
-      int klen = 0;
-      const int n = static_cast<int>(step.args.size());
-      for (int i = 0; i < n; ++i) {
-        const ArgRef& a = step.args[i];
-        if (a.var < 0) {
-          mask |= uint64_t{1} << i;
-          key[klen++] = a.const_val;
-        } else if (bindings->IsBound(a.var)) {
-          mask |= uint64_t{1} << i;
-          key[klen++] = bindings->Get(a.var);
-        }
-      }
-
-      auto try_row = [&](TupleRef row) {
-        ++ctx->rule_stats->probes;
-        size_t mark = bindings->Mark();
-        bool ok = true;
-        for (int i = 0; i < n && ok; ++i) {
-          const ArgRef& a = step.args[i];
-          ok = a.var < 0 ? a.const_val == row[i] : bindings->Bind(a.var, row[i]);
-        }
-        if (ok) RunSteps(plan, step_index + 1, bindings, ctx);
-        bindings->Restore(mark);
-      };
-
-      // Tombstoned rows (versioned EDBs under incremental maintenance) are
-      // skipped before the probe counter, so interpret/compile/kernel
-      // executors stay counter-identical. A partitioned first step
-      // (parallel evaluation; only plans whose step 0 is a join are
-      // partitioned) additionally skips rows hashed to other partitions,
-      // also before the counter.
-      const uint64_t pc = static_cast<uint64_t>(ctx->part_count);
-      const uint64_t pi = static_cast<uint64_t>(ctx->part_index);
-      const bool partitioned = pc > 1 && step_index == 0;
-      if (mask != 0 && ctx->options.use_indexes) {
-        Relation::Matches m = rel->Probe(mask, key);
-        for (int32_t r = m.row; r >= 0; r = m.next[r]) {
-          if (!rel->live(r)) continue;
-          if (partitioned && rel->row_hash(r) % pc != pi) continue;
-          try_row(rel->row(r));
-          if (*ctx->overflow) return;
-        }
-      } else {
-        for (int64_t r = 0, rows = rel->size(); r < rows; ++r) {
-          if (!rel->live(r)) continue;
-          if (partitioned && rel->row_hash(r) % pc != pi) continue;
-          try_row(rel->row(r));
-          if (*ctx->overflow) return;
-        }
-      }
-      return;
-    }
-  }
-}
-
 // Merges `src` into `dst`; returns the number of new tuples.
 int64_t MergeInto(const Database& src, Database* dst) {
   int64_t added = 0;
@@ -255,15 +110,13 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
     return tracing ? tracer->StartSpan(name) : Span();
   };
 
-  // Compiled mode: use the caller-provided artifact (PreparedProgram's
-  // cache) or lower on the fly. Either way the artifact carries the
-  // stratification and IDB classification, so Stratify() runs at most once
-  // per program, not once per evaluation.
-  const bool compile = options_.mode == EvalMode::kCompile;
+  // The caller-provided artifact (PreparedProgram's cache), or one lowered
+  // on the fly. Either way it carries the stratification and IDB
+  // classification, so Stratify() runs at most once per program.
   const CompiledProgram* compiled = options_.compiled;
   CompiledProgram local_compiled;
   int64_t compile_ns = 0;
-  if (compile && compiled == nullptr) {
+  if (compiled == nullptr) {
     Result<CompiledProgram> c = CompileProgram(program_);
     if (!c.ok()) return c.status();
     local_compiled = std::move(c.value());
@@ -271,16 +124,12 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
     compile_ns = local_compiled.compile_ns;
   }
 
-  // One bindings array (interpret) / register file (compiled) reused across
-  // every rule activation; nothing below allocates per probe or per bind.
-  Bindings bindings;
-  std::vector<Value> regs;
+  // One register file reused across every serial rule activation; nothing
+  // below allocates per probe.
+  std::vector<Value> regs(compiled->max_regs);
   std::vector<const Relation*> level_rels;
   std::vector<const Relation*> neg_rels;
-  if (compile) {
-    regs.resize(compiled->max_regs);
-    level_rels.reserve(compiled->max_levels);
-  }
+  level_rels.reserve(compiled->max_levels);
   // Per-kernel activation counts, published at finish.
   int64_t kernel_runs[kNumKernels] = {0, 0, 0};
 
@@ -288,20 +137,9 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
   int64_t derived_count = 0;
   bool overflow = false;
 
-  Context ctx;
-  ctx.program = &program_;
-  ctx.edb = &edb;
-  ctx.idb_total = &total;
-  ctx.idb_delta = nullptr;
-  ctx.options = options_;
-  ctx.rule_stats = nullptr;
-  ctx.derived_count = &derived_count;
-  ctx.overflow = &overflow;
-
   VmContext vm;
   vm.edb = &edb;
   vm.idb_total = &total;
-  vm.out_new = nullptr;
   vm.use_indexes = options_.use_indexes;
   vm.max_derived = options_.max_derived;
   vm.derived_count = &derived_count;
@@ -309,29 +147,6 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
   vm.regs = &regs;
   vm.level_rels = &level_rels;
   vm.neg_rels = &neg_rels;
-
-  int num_strata = 0;
-  std::map<PredId, int> strata_map;  // interpret mode only
-  if (compile) {
-    ctx.idb_preds = compiled->idb_preds;
-    num_strata = static_cast<int>(compiled->strata.size());
-  } else {
-    Result<std::map<PredId, int>> strata = program_.Stratify();
-    if (!strata.ok()) return strata.status();
-    strata_map = std::move(strata.value());
-    ctx.idb_preds = program_.IdbPreds();
-    for (const auto& [pred, s] : strata_map) {
-      num_strata = std::max(num_strata, s + 1);
-    }
-  }
-
-  auto fail_if_overflow = [&]() -> Status {
-    if (overflow) {
-      return Status::ResourceExhausted("evaluation exceeded max_derived=" +
-                           std::to_string(options_.max_derived));
-    }
-    return Status::Ok();
-  };
 
   // Cooperative interruption, polled once per fixpoint iteration. The poll
   // is two loads (plus a clock read only when a deadline is armed), so the
@@ -355,7 +170,7 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
   // pre-join work is repeated per partition. Tasks derive into private
   // scratch databases; the coordinator merges them at the iteration
   // barrier, keeping every shared index single-writer. threads = 1 and
-  // naive iteration take the serial paths below, untouched.
+  // naive iteration run the plans serially.
   const bool parallel_on = options_.semi_naive && options_.threads > 1;
   ParallelEvalStats pstats;
   pstats.threads = std::max(1, options_.threads);
@@ -376,10 +191,9 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
   // derivation scratch and counters. Merged in deterministic (plan,
   // partition) order at the barrier.
   struct ParTask {
-    int plan = 0;         // ordinal into the iteration's plan list
+    const CompiledRule* plan = nullptr;
     int parts = 1;        // partition count of this plan (1 = unpartitioned)
     int part = 0;         // this task's partition index
-    int rule_index = -1;
     Database scratch;     // head tuples derived by this task
     RuleProfile prof;     // this task's counters, merged at the barrier
     int64_t derived = 0;  // task-local derivation count (budget check)
@@ -388,93 +202,40 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
     int64_t t0 = 0, t1 = 0;  // task wall clock (skew, spans)
   };
 
-  // Runs one semi-naive iteration's plan set in parallel: warm indexes,
-  // fire tasks, merge at the barrier. `crs` lists the compiled plans
-  // (compiled mode) or `iplans` the interpreted ones. Returns the
-  // iteration's interruption/overflow status.
-  auto run_parallel_iteration =
-      [&](const std::vector<const CompiledRule*>& crs,
-          const std::vector<const RulePlan*>& iplans,
-          const Database* delta_db, Database* fresh,
-          int stratum) -> Status {
+  // Runs one semi-naive iteration's plan set as partition tasks into
+  // `fresh`: warm indexes, fire tasks, merge at the barrier.
+  auto run_parallel = [&](const std::vector<const CompiledRule*>& plans,
+                          const Database* delta_db, Database* fresh,
+                          int stratum) {
     const int64_t iter_t0 = NowNs();
     const int P = options_.threads;
-    const size_t nplans = compile ? crs.size() : iplans.size();
 
     // Warm every (relation, mask) pair the tasks will probe. Index builds
     // are the one lazy mutation Probe performs; doing them here, on the
     // coordinator, keeps the parallel phase free of shared writes.
     if (options_.use_indexes) {
-      auto db_for = [&](RelSource s) -> const Database* {
-        switch (s) {
-          case RelSource::kEdb: return &edb;
-          case RelSource::kIdbTotal: return &total;
-          case RelSource::kIdbDelta: return delta_db;
-        }
-        return nullptr;
-      };
-      if (compile) {
-        for (const CompiledRule* cr : crs) {
-          for (const LevelInfo& lvl : cr->levels) {
-            if (lvl.mask == 0) continue;
-            const Database* db = db_for(lvl.source);
-            const Relation* rel = db == nullptr ? nullptr : db->Find(lvl.pred);
-            if (rel != nullptr) rel->WarmIndex(lvl.mask);
-          }
-        }
-      } else {
-        // Interpret mode gathers masks at runtime, but boundness at a plan
-        // position is static — re-derive each join's mask with the same
-        // walk CompileRulePlan uses.
-        for (const RulePlan* plan : iplans) {
-          std::vector<uint8_t> bound(plan->num_vars, 0);
-          for (const PlanStep& step : plan->steps) {
-            if (step.kind != PlanStep::Kind::kJoin) continue;
-            uint64_t mask = 0;
-            for (size_t i = 0; i < step.args.size(); ++i) {
-              const ArgRef& a = step.args[i];
-              if (a.var < 0 || bound[a.var] != 0) mask |= uint64_t{1} << i;
-            }
-            for (const ArgRef& a : step.args) {
-              if (a.var >= 0) bound[a.var] = 1;
-            }
-            if (mask == 0) continue;
-            const Database* db;
-            if (ctx.idb_preds.count(step.pred) == 0) {
-              db = &edb;
-            } else if (step.index == plan->delta_subgoal) {
-              db = delta_db;
-            } else {
-              db = &total;
-            }
-            const Relation* rel = db == nullptr ? nullptr : db->Find(step.pred);
-            if (rel != nullptr) rel->WarmIndex(mask);
+      vm.idb_delta = delta_db;
+      for (const CompiledRule* cr : plans) {
+        ResolveRelations(*cr, &vm);
+        for (size_t k = 0; k < cr->levels.size(); ++k) {
+          if (cr->levels[k].mask != 0 && level_rels[k] != nullptr) {
+            level_rels[k]->WarmIndex(cr->levels[k].mask);
           }
         }
       }
     }
 
     std::vector<ParTask> tasks;
-    tasks.reserve(nplans * static_cast<size_t>(P));
-    for (size_t j = 0; j < nplans; ++j) {
-      bool partitionable;
-      int rule_index;
-      if (compile) {
-        partitionable =
-            !crs[j]->levels.empty() && crs[j]->levels[0].open_ip == 0;
-        rule_index = crs[j]->rule_index;
-      } else {
-        partitionable = !iplans[j]->steps.empty() &&
-                        iplans[j]->steps[0].kind == PlanStep::Kind::kJoin;
-        rule_index = iplans[j]->rule_index;
-      }
+    tasks.reserve(plans.size() * static_cast<size_t>(P));
+    for (const CompiledRule* cr : plans) {
+      const bool partitionable =
+          !cr->levels.empty() && cr->levels[0].open_ip == 0;
       const int parts = partitionable ? P : 1;
       for (int k = 0; k < parts; ++k) {
         ParTask t;
-        t.plan = static_cast<int>(j);
+        t.plan = cr;
         t.parts = parts;
         t.part = k;
-        t.rule_index = rule_index;
         tasks.push_back(std::move(t));
       }
     }
@@ -499,49 +260,27 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
         return;
       }
       t.t0 = NowNs();
-      if (compile) {
-        std::vector<Value> task_regs(compiled->max_regs);
-        std::vector<const Relation*> task_level_rels;
-        std::vector<const Relation*> task_neg_rels;
-        VmContext tvm;
-        tvm.edb = &edb;
-        tvm.idb_total = &total;
-        tvm.idb_delta = delta_db;
-        tvm.out_new = &t.scratch;
-        tvm.use_indexes = options_.use_indexes;
-        tvm.max_derived = local_budget;
-        tvm.profile = &t.prof;
-        tvm.derived_count = &t.derived;
-        tvm.overflow = &t.overflow;
-        tvm.regs = &task_regs;
-        tvm.level_rels = &task_level_rels;
-        tvm.neg_rels = &task_neg_rels;
-        tvm.part_count = t.parts;
-        tvm.part_index = t.part;
-        const CompiledRule& cr = *crs[t.plan];
-        if (ResolveRelations(cr, &tvm)) {
-          t.kernel =
-              static_cast<int>(RunCompiled(cr, &tvm, options_.use_kernels));
-        }
-      } else {
-        Context tctx;
-        tctx.program = &program_;
-        tctx.edb = &edb;
-        tctx.idb_total = &total;
-        tctx.idb_delta = delta_db;
-        tctx.out_new = &t.scratch;
-        tctx.options = options_;
-        tctx.options.max_derived = local_budget;
-        tctx.rule_stats = &t.prof;
-        tctx.idb_preds = ctx.idb_preds;
-        tctx.derived_count = &t.derived;
-        tctx.overflow = &t.overflow;
-        tctx.part_count = t.parts;
-        tctx.part_index = t.part;
-        const RulePlan& plan = *iplans[t.plan];
-        Bindings task_bindings;
-        task_bindings.Reset(plan.num_vars);
-        RunSteps(plan, 0, &task_bindings, &tctx);
+      std::vector<Value> task_regs(compiled->max_regs);
+      std::vector<const Relation*> task_level_rels;
+      std::vector<const Relation*> task_neg_rels;
+      VmContext tvm;
+      tvm.edb = &edb;
+      tvm.idb_total = &total;
+      tvm.idb_delta = delta_db;
+      tvm.out_new = &t.scratch;
+      tvm.use_indexes = options_.use_indexes;
+      tvm.max_derived = local_budget;
+      tvm.profile = &t.prof;
+      tvm.derived_count = &t.derived;
+      tvm.overflow = &t.overflow;
+      tvm.regs = &task_regs;
+      tvm.level_rels = &task_level_rels;
+      tvm.neg_rels = &task_neg_rels;
+      tvm.part_count = t.parts;
+      tvm.part_index = t.part;
+      if (ResolveRelations(*t.plan, &tvm)) {
+        t.kernel = static_cast<int>(
+            RunCompiled(*t.plan, &tvm, options_.use_kernels));
       }
       if (t.overflow) stop.store(true, std::memory_order_release);
       t.t1 = NowNs();
@@ -564,7 +303,7 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
           }
         }
       }
-      RuleProfile& prof = profiles_[t.rule_index];
+      RuleProfile& prof = profiles_[t.plan->rule_index];
       prof.firings += t.prof.firings;
       prof.derived += t.prof.derived;
       prof.duplicates += t.prof.duplicates;
@@ -606,7 +345,7 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
       for (const ParTask& t : tasks) {
         if (t.t1 == 0) continue;  // stopped at the task boundary: no span
         Span span = tracer->StartSpanAt("eval.partition", t.t0);
-        span.SetAttr("rule", t.rule_index);
+        span.SetAttr("rule", t.plan->rule_index);
         span.SetAttr("partition", t.part);
         span.SetAttr("partitions", t.parts);
         span.SetAttr("derived", t.prof.derived);
@@ -614,86 +353,11 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
         span.EndAt(t.t1);
       }
     }
-
-    if (Status s = interrupted(); !s.ok()) return s;
-    return fail_if_overflow();
   };
 
-  // Publishes counters and (when attached) registry metrics before any
-  // return path, so stats are valid even on overflow errors.
-  auto finish = [&] {
-    stats_ = EvalStats::FromProfiles(iterations, profiles_);
-    if (options_.parallel_stats != nullptr) *options_.parallel_stats = pstats;
-    if (options_.metrics == nullptr) return;
-    MetricsRegistry* m = options_.metrics;
-    const std::string& p = options_.metrics_prefix;
-    if (pstats.partition_tasks > 0) {
-      m->GetCounter(p + "/partitions")->Add(pstats.threads);
-      m->GetCounter(p + "/partition_tasks")->Add(pstats.partition_tasks);
-      m->GetCounter(p + "/parallel_iterations")
-          ->Add(pstats.parallel_iterations);
-      m->GetCounter(p + "/partition_skew_max_ns")->Add(pstats.skew_max_ns);
-    }
-    m->GetCounter(p + "/iterations")->Add(stats_.iterations);
-    m->GetCounter(p + "/rule_firings")->Add(stats_.rule_firings);
-    m->GetCounter(p + "/tuples_derived")->Add(stats_.tuples_derived);
-    m->GetCounter(p + "/duplicate_derivations")
-        ->Add(stats_.duplicate_derivations);
-    m->GetCounter(p + "/join_probes")->Add(stats_.join_probes);
-    m->GetCounter(p + "/comparison_checks")->Add(stats_.comparison_checks);
-    if (compile) {
-      int64_t ops = 0;
-      for (const RuleProfile& profile : profiles_) ops += profile.ops;
-      m->GetCounter(p + "/bytecode_ops")->Add(ops);
-      m->GetCounter(p + "/kernel_generic")
-          ->Add(kernel_runs[static_cast<int>(KernelId::kGeneric)]);
-      m->GetCounter(p + "/kernel_scan_filter_emit")
-          ->Add(kernel_runs[static_cast<int>(KernelId::kScanFilterEmit)]);
-      m->GetCounter(p + "/kernel_scan_probe_emit")
-          ->Add(kernel_runs[static_cast<int>(KernelId::kScanProbeEmit)]);
-      if (compile_ns > 0) {
-        m->GetCounter(p + "/compile_ns")->Add(compile_ns);
-      }
-    }
-    for (const RuleProfile& profile : profiles_) {
-      if (profile.firings == 0 && profile.probes == 0) continue;
-      std::string base = p + "/rule/" +
-                         std::to_string(profile.rule_index) + ":" +
-                         profile.head;
-      m->GetCounter(base + "/firings")->Add(profile.firings);
-      m->GetCounter(base + "/derived")->Add(profile.derived);
-      m->GetCounter(base + "/duplicates")->Add(profile.duplicates);
-      m->GetCounter(base + "/probes")->Add(profile.probes);
-      m->GetCounter(base + "/time_ns")->Add(profile.time_ns);
-    }
-  };
-
-  // Runs one interpreted plan with per-rule time attribution and a span.
-  auto run_plan = [&](const RulePlan& plan) {
-    RuleProfile* profile = &profiles_[plan.rule_index];
-    ctx.rule_stats = profile;
-    Span span;
-    if (tracing) {
-      span = tracer->StartSpan("eval.rule");
-      span.SetAttr("rule", plan.rule_index);
-      if (plan.delta_subgoal >= 0) {
-        span.SetAttr("delta_subgoal", plan.delta_subgoal);
-      }
-    }
-    int64_t before_firings = profile->firings;
-    int64_t before_derived = profile->derived;
-    int64_t t0 = timed ? NowNs() : 0;
-    bindings.Reset(plan.num_vars);
-    RunSteps(plan, 0, &bindings, &ctx);
-    if (timed) profile->time_ns += NowNs() - t0;
-    if (tracing) {
-      span.SetAttr("firings", profile->firings - before_firings);
-      span.SetAttr("derived", profile->derived - before_derived);
-    }
-  };
-
-  // Runs one compiled plan through its kernel, same attribution.
-  auto run_compiled = [&](const CompiledRule& cr) {
+  // Runs one plan serially through its kernel, with per-rule time
+  // attribution and a span.
+  auto run_serial = [&](const CompiledRule& cr) {
     if (overflow) return;
     RuleProfile* profile = &profiles_[cr.rule_index];
     vm.profile = profile;
@@ -720,203 +384,133 @@ Result<Database> Evaluator::Evaluate(const Database& edb) {
     }
   };
 
-  Span eval_span = start_span("eval");
-  PlanScratch scratch;  // reused by every interpreted BuildPlan below
+  Histogram* iteration_hist =
+      options_.metrics == nullptr
+          ? nullptr
+          : options_.metrics->GetHistogram(options_.metrics_prefix +
+                                           "/iteration_ns");
 
-  // Evaluate stratum by stratum: negated IDB subgoals point strictly below
-  // and read the completed relations in `total`; positive IDB subgoals of
-  // lower strata are static within this stratum and read `total` too; only
-  // same-stratum positive IDB subgoals drive the semi-naive deltas.
-  for (int stratum = 0; stratum < num_strata; ++stratum) {
-    const CompiledProgram::Stratum* cst =
-        compile ? &compiled->strata[stratum] : nullptr;
-    std::vector<int> stratum_rules;
-    if (compile) {
-      stratum_rules = cst->rule_indices;
+  // The iteration step every path shares (naive rounds, semi-naive
+  // iteration 0 and delta iterations, serial or partitioned): poll for
+  // interruption, run `plans` against `delta_in` (null outside delta
+  // iterations) into a fresh set, merge it into `total`. On success
+  // `*fresh_out` holds the iteration's new tuples.
+  auto iterate = [&](const std::vector<const CompiledRule*>& plans,
+                     const Database* delta_in, Database* fresh_out,
+                     int stratum) -> Status {
+    SQOD_RETURN_IF_ERROR(interrupted());
+    ++iterations;
+    Span iter_span = start_span("eval.iteration");
+    iter_span.SetAttr("iteration", iterations);
+    const int64_t t0 = timed ? NowNs() : 0;
+    Database fresh;
+    if (parallel_on) {
+      run_parallel(plans, delta_in, &fresh, stratum);
+      // Tasks stop early at a cancelled/expired boundary: the iteration
+      // is incomplete, so the poll must come before the merge.
+      SQOD_RETURN_IF_ERROR(interrupted());
     } else {
-      for (int r = 0; r < static_cast<int>(rules.size()); ++r) {
-        if (strata_map.at(rules[r].head.pred()) == stratum) {
-          stratum_rules.push_back(r);
-        }
-      }
+      vm.out_new = &fresh;
+      vm.idb_delta = delta_in;
+      for (const CompiledRule* cr : plans) run_serial(*cr);
     }
-    if (stratum_rules.empty()) continue;
+    if (overflow) {
+      return Status::ResourceExhausted("evaluation exceeded max_derived=" +
+                                       std::to_string(options_.max_derived));
+    }
+    const int64_t added = MergeInto(fresh, &total);
+    iter_span.SetAttr("new_tuples", added);
+    if (iteration_hist != nullptr) iteration_hist->Record(NowNs() - t0);
+    *fresh_out = std::move(fresh);
+    return Status::Ok();
+  };
+
+  // Publishes counters and (when attached) registry metrics before any
+  // return path, so stats are valid even on overflow errors.
+  auto finish = [&] {
+    stats_ = EvalStats::FromProfiles(iterations, profiles_);
+    if (options_.parallel_stats != nullptr) *options_.parallel_stats = pstats;
+    if (options_.metrics == nullptr) return;
+    MetricsRegistry* m = options_.metrics;
+    const std::string& p = options_.metrics_prefix;
+    if (pstats.partition_tasks > 0) {
+      m->GetCounter(p + "/partitions")->Add(pstats.threads);
+      m->GetCounter(p + "/partition_tasks")->Add(pstats.partition_tasks);
+      m->GetCounter(p + "/parallel_iterations")
+          ->Add(pstats.parallel_iterations);
+      m->GetCounter(p + "/partition_skew_max_ns")->Add(pstats.skew_max_ns);
+    }
+    m->GetCounter(p + "/iterations")->Add(stats_.iterations);
+    m->GetCounter(p + "/rule_firings")->Add(stats_.rule_firings);
+    m->GetCounter(p + "/tuples_derived")->Add(stats_.tuples_derived);
+    m->GetCounter(p + "/duplicate_derivations")
+        ->Add(stats_.duplicate_derivations);
+    m->GetCounter(p + "/join_probes")->Add(stats_.join_probes);
+    m->GetCounter(p + "/comparison_checks")->Add(stats_.comparison_checks);
+    int64_t ops = 0;
+    for (const RuleProfile& profile : profiles_) ops += profile.ops;
+    m->GetCounter(p + "/bytecode_ops")->Add(ops);
+    m->GetCounter(p + "/kernel_generic")
+        ->Add(kernel_runs[static_cast<int>(KernelId::kGeneric)]);
+    m->GetCounter(p + "/kernel_scan_filter_emit")
+        ->Add(kernel_runs[static_cast<int>(KernelId::kScanFilterEmit)]);
+    m->GetCounter(p + "/kernel_scan_probe_emit")
+        ->Add(kernel_runs[static_cast<int>(KernelId::kScanProbeEmit)]);
+    if (compile_ns > 0) m->GetCounter(p + "/compile_ns")->Add(compile_ns);
+    for (const RuleProfile& profile : profiles_) {
+      if (profile.firings == 0 && profile.probes == 0) continue;
+      std::string base = p + "/rule/" +
+                         std::to_string(profile.rule_index) + ":" +
+                         profile.head;
+      m->GetCounter(base + "/firings")->Add(profile.firings);
+      m->GetCounter(base + "/derived")->Add(profile.derived);
+      m->GetCounter(base + "/duplicates")->Add(profile.duplicates);
+      m->GetCounter(base + "/probes")->Add(profile.probes);
+      m->GetCounter(base + "/time_ns")->Add(profile.time_ns);
+    }
+  };
+
+  Span eval_span = start_span("eval");
+
+  // The stratum driver. Evaluate stratum by stratum: negated IDB subgoals
+  // point strictly below and read the completed relations in `total`;
+  // positive IDB subgoals of lower strata are static within this stratum
+  // and read `total` too; only same-stratum positive IDB subgoals drive the
+  // semi-naive deltas.
+  for (int stratum = 0; stratum < static_cast<int>(compiled->strata.size());
+       ++stratum) {
+    const CompiledProgram::Stratum& st = compiled->strata[stratum];
+    if (st.rule_indices.empty()) continue;
 
     Span stratum_span = start_span("eval.stratum");
     stratum_span.SetAttr("stratum", stratum);
-    stratum_span.SetAttr("rules", static_cast<int64_t>(stratum_rules.size()));
+    stratum_span.SetAttr("rules", static_cast<int64_t>(st.rule_indices.size()));
 
-    Histogram* iteration_hist =
-        options_.metrics == nullptr
-            ? nullptr
-            : options_.metrics->GetHistogram(options_.metrics_prefix +
-                                             "/iteration_ns");
-    auto observe_iteration = [&](Span* span, int64_t t0, int64_t added) {
-      span->SetAttr("new_tuples", added);
-      if (iteration_hist != nullptr) iteration_hist->Record(NowNs() - t0);
-    };
-
-    // Same-stratum positive IDB subgoal body indices, per rule (interpret
-    // mode; the compiler resolved these into Stratum::nonrecursive/delta).
-    std::map<int, std::vector<int>> recursive_subgoals;
-    if (!compile) {
-      for (int r : stratum_rules) {
-        for (size_t i = 0; i < rules[r].body.size(); ++i) {
-          const Literal& l = rules[r].body[i];
-          if (!l.negated && ctx.idb_preds.count(l.atom.pred()) > 0 &&
-              strata_map.at(l.atom.pred()) == stratum) {
-            recursive_subgoals[r].push_back(static_cast<int>(i));
-          }
-        }
-      }
-    }
-
-    if (!options_.semi_naive) {
-      // Naive within the stratum: every rule, full relations, every round.
-      std::vector<RulePlan> plans;
-      if (!compile) {
-        for (int r : stratum_rules) {
-          plans.push_back(BuildPlan(rules[r], r, -1, &scratch));
-        }
-      }
-      for (;;) {
-        if (Status s = interrupted(); !s.ok()) {
-          finish();
-          return s;
-        }
-        ++iterations;
-        Span iter_span = start_span("eval.iteration");
-        iter_span.SetAttr("iteration", iterations);
-        int64_t t0 = timed ? NowNs() : 0;
-        Database fresh;
-        ctx.out_new = &fresh;
-        ctx.idb_delta = nullptr;
-        vm.out_new = &fresh;
-        vm.idb_delta = nullptr;
-        if (compile) {
-          for (const CompiledRule& cr : cst->full) run_compiled(cr);
-        } else {
-          for (const RulePlan& plan : plans) run_plan(plan);
-        }
-        Status s = fail_if_overflow();
-        if (!s.ok()) {
-          finish();
-          return s;
-        }
-        int64_t added = MergeInto(fresh, &total);
-        observe_iteration(&iter_span, t0, added);
-        if (added == 0) break;
-      }
-      continue;
-    }
-
-    // Semi-naive. Iteration 0: rules with no same-stratum IDB subgoal.
+    std::vector<const CompiledRule*> first, delta_plans;
     Database delta;
-    {
-      if (Status s = interrupted(); !s.ok()) {
-        finish();
-        return s;
-      }
-      ++iterations;
-      Span iter_span = start_span("eval.iteration");
-      iter_span.SetAttr("iteration", iterations);
-      int64_t t0 = timed ? NowNs() : 0;
-      Database fresh;
-      ctx.out_new = &fresh;
-      ctx.idb_delta = nullptr;
-      vm.out_new = &fresh;
-      vm.idb_delta = nullptr;
-      // Interpret mode builds the iteration-0 plans up front so the
-      // parallel runner can see the whole plan set; serial runs them
-      // identically, just from the vector.
-      std::vector<RulePlan> iter0_plans;
-      if (!compile) {
-        for (int r : stratum_rules) {
-          if (recursive_subgoals.count(r) > 0) continue;
-          iter0_plans.push_back(BuildPlan(rules[r], r, -1, &scratch));
-        }
-      }
-      Status s;
-      if (parallel_on) {
-        std::vector<const CompiledRule*> crs;
-        std::vector<const RulePlan*> iplans;
-        if (compile) {
-          for (int i : cst->nonrecursive) crs.push_back(&cst->full[i]);
-        } else {
-          for (const RulePlan& plan : iter0_plans) iplans.push_back(&plan);
-        }
-        s = run_parallel_iteration(crs, iplans, nullptr, &fresh, stratum);
-      } else {
-        if (compile) {
-          for (int i : cst->nonrecursive) run_compiled(cst->full[i]);
-        } else {
-          for (const RulePlan& plan : iter0_plans) run_plan(plan);
-        }
-        s = fail_if_overflow();
-      }
-      if (!s.ok()) {
-        finish();
-        return s;
-      }
-      int64_t added = MergeInto(fresh, &total);
-      observe_iteration(&iter_span, t0, added);
-      delta = std::move(fresh);
-    }
-
-    // One plan per (rule, same-stratum delta-subgoal occurrence).
-    std::vector<RulePlan> delta_plans;
-    if (!compile) {
-      for (const auto& [r, occurrences] : recursive_subgoals) {
-        for (int occurrence : occurrences) {
-          delta_plans.push_back(BuildPlan(rules[r], r, occurrence, &scratch));
-        }
+    Status s;
+    if (!options_.semi_naive) {
+      // Naive: every rule over the full relations, until a round adds
+      // nothing.
+      for (const CompiledRule& cr : st.full) first.push_back(&cr);
+      do {
+        s = iterate(first, nullptr, &delta, stratum);
+      } while (s.ok() && delta.TotalTuples() > 0);
+    } else {
+      // Semi-naive: iteration 0 runs the rules with no same-stratum IDB
+      // subgoal; each later iteration runs one plan per (rule, same-stratum
+      // delta subgoal) against the previous iteration's new tuples.
+      for (int i : st.nonrecursive) first.push_back(&st.full[i]);
+      for (const CompiledRule& cr : st.delta) delta_plans.push_back(&cr);
+      s = iterate(first, nullptr, &delta, stratum);
+      while (s.ok() && delta.TotalTuples() > 0) {
+        const Database in = std::move(delta);
+        s = iterate(delta_plans, &in, &delta, stratum);
       }
     }
-    // The delta plan set is iteration-invariant; collect it once for the
-    // parallel runner.
-    std::vector<const CompiledRule*> delta_crs;
-    std::vector<const RulePlan*> delta_iplans;
-    if (parallel_on) {
-      if (compile) {
-        for (const CompiledRule& cr : cst->delta) delta_crs.push_back(&cr);
-      } else {
-        for (const RulePlan& plan : delta_plans) delta_iplans.push_back(&plan);
-      }
-    }
-
-    while (delta.TotalTuples() > 0) {
-      if (Status s = interrupted(); !s.ok()) {
-        finish();
-        return s;
-      }
-      ++iterations;
-      Span iter_span = start_span("eval.iteration");
-      iter_span.SetAttr("iteration", iterations);
-      int64_t t0 = timed ? NowNs() : 0;
-      Database fresh;
-      ctx.out_new = &fresh;
-      ctx.idb_delta = &delta;
-      vm.out_new = &fresh;
-      vm.idb_delta = &delta;
-      Status s;
-      if (parallel_on) {
-        s = run_parallel_iteration(delta_crs, delta_iplans, &delta, &fresh,
-                                   stratum);
-      } else {
-        if (compile) {
-          for (const CompiledRule& cr : cst->delta) run_compiled(cr);
-        } else {
-          for (const RulePlan& plan : delta_plans) run_plan(plan);
-        }
-        s = fail_if_overflow();
-      }
-      if (!s.ok()) {
-        finish();
-        return s;
-      }
-      int64_t added = MergeInto(fresh, &total);
-      observe_iteration(&iter_span, t0, added);
-      delta = std::move(fresh);
+    if (!s.ok()) {
+      finish();
+      return s;
     }
   }
   finish();

@@ -26,6 +26,8 @@ bool HasFilters(const CompiledRule& rule) {
 }  // namespace
 
 KernelId SelectKernel(const CompiledRule& rule) {
+  // Head-bound plans need the generic loop's head prologue.
+  if (rule.head_bound) return KernelId::kGeneric;
   // open_ip == 0 rules out ground comparisons planned before the level,
   // which the kernel's post-range loop would never execute.
   if (rule.levels.size() == 1 && rule.negs.empty() &&
@@ -48,40 +50,13 @@ KernelId SelectKernel(const CompiledRule& rule) {
 
 namespace {
 
-// Shared emit: materialize the head from registers/constants, dedup against
-// idb_total and the staging database, count. Returns false on overflow
-// (callers stop the activation immediately, like the interpreter unwinds).
-struct EmitCtx {
-  const CompiledRule* rule;
-  VmContext* ctx;
-  const Value* consts;
-  const ArgSrc* head_args;
-  const Value* regs;
-  int64_t firings = 0, dups = 0, derived = 0;
-};
-
-inline bool EmitHead(EmitCtx* e) {
-  ++e->firings;
-  Value head[Relation::kMaxArity];
-  const int n = e->rule->head_arity;
-  for (int i = 0; i < n; ++i) {
-    ArgSrc s = e->head_args[i];
-    head[i] = IsConstSrc(s) ? e->consts[ConstIdx(s)] : e->regs[s];
+// Materializes the head from registers/constants into `head`.
+inline void LoadHeadValues(const CompiledRule& rule, const Value* consts,
+                           const Value* regs, Value* head) {
+  const ArgSrc* args = rule.args_pool.data() + rule.head_off;
+  for (int i = 0; i < rule.head_arity; ++i) {
+    head[i] = IsConstSrc(args[i]) ? consts[ConstIdx(args[i])] : regs[args[i]];
   }
-  VmContext* ctx = e->ctx;
-  if (ctx->idb_total->Contains(e->rule->head_pred, head, n) ||
-      ctx->out_new->Contains(e->rule->head_pred, head, n)) {
-    ++e->dups;
-    return true;
-  }
-  ctx->out_new->Insert(e->rule->head_pred, head, n);
-  ++e->derived;
-  ++*ctx->derived_count;
-  if (ctx->max_derived >= 0 && *ctx->derived_count > ctx->max_derived) {
-    *ctx->overflow = true;
-    return false;
-  }
-  return true;
 }
 
 // scan_filter_emit: one level, optional comparison filters, emit. Row
@@ -96,7 +71,8 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx) {
   const ArgSrc* args_pool = rule.args_pool.data();
   Value* regs = ctx->regs->data();
 
-  EmitCtx emit{&rule, ctx, consts, args_pool + rule.head_off, regs};
+  EvalEmit emit{ctx, &rule};
+  Value head[Relation::kMaxArity];
   int64_t probes = 0, cmps = 0, ops = 0;
 
   const bool probe = lvl.mask != 0 && ctx->use_indexes;
@@ -137,7 +113,8 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx) {
       }
     }
     ++ops;
-    return EmitHead(&emit);
+    LoadHeadValues(rule, consts, regs, head);
+    return emit(head);
   };
 
   // Partition filter for parallel evaluation: level 0 is this kernel's
@@ -172,10 +149,8 @@ void RunScanFilterEmit(const CompiledRule& rule, VmContext* ctx) {
   RuleProfile* prof = ctx->profile;
   prof->probes += probes;
   prof->cmp_checks += cmps;
-  prof->firings += emit.firings;
-  prof->duplicates += emit.dups;
-  prof->derived += emit.derived;
   prof->ops += ops + 1;  // + the level opener
+  emit.Flush(prof);
 }
 
 // scan_probe_emit: scan the outer level, probe the inner on a KLen-wide
@@ -194,7 +169,8 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx) {
   const ArgSrc* args_pool = rule.args_pool.data();
   Value* regs = ctx->regs->data();
 
-  EmitCtx emit{&rule, ctx, consts, args_pool + rule.head_off, regs};
+  EvalEmit emit{ctx, &rule};
+  Value head[Relation::kMaxArity];
   int64_t probes = 0, ops = 0;
 
   // Pre-resolved action/key descriptors, hoisted out of both loops.
@@ -237,7 +213,8 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx) {
         regs[inner_loads[i].b] = irow[inner_loads[i].a];
       }
       ops += inner_nloads + 2;
-      if (!EmitHead(&emit)) {
+      LoadHeadValues(rule, consts, regs, head);
+      if (!emit(head)) {
         r = rows;  // overflow: stop the activation
         break;
       }
@@ -246,10 +223,8 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx) {
 
   RuleProfile* prof = ctx->profile;
   prof->probes += probes;
-  prof->firings += emit.firings;
-  prof->duplicates += emit.dups;
-  prof->derived += emit.derived;
   prof->ops += ops + 2;  // + the two level openers
+  emit.Flush(prof);
 }
 
 }  // namespace
@@ -257,9 +232,12 @@ void RunScanProbeEmit(const CompiledRule& rule, VmContext* ctx) {
 KernelId RunCompiled(const CompiledRule& rule, VmContext* ctx,
                      bool use_kernels) {
   KernelId kernel = use_kernels ? rule.kernel : KernelId::kGeneric;
+  // Kernels read live rows and emit through the evaluation emit, so a
+  // maintenance activation (row views or a sink) runs the generic loop.
   // scan_probe_emit relies on the inner index; without runtime indexes the
   // generic loop's scan path keeps semantics (and counters) right.
-  if (kernel == KernelId::kScanProbeEmit && !ctx->use_indexes) {
+  if (ctx->views != nullptr || ctx->sink != nullptr ||
+      (kernel == KernelId::kScanProbeEmit && !ctx->use_indexes)) {
     kernel = KernelId::kGeneric;
   }
   switch (kernel) {

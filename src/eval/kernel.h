@@ -6,9 +6,11 @@
 namespace sqod {
 
 // Specialized join kernels layered over the bytecode executor. The compiler
-// (CompileRulePlan) calls SelectKernel once per plan; the evaluator calls
-// RunCompiled per activation, which dispatches to the matching kernel or
-// falls back to the generic dispatch loop.
+// (CompileRulePlan) calls SelectKernel once per plan; RunCompiled is the one
+// entry point that runs a rule body — the evaluator's serial path, its
+// parallel partition tasks and the view maintainer all call it per
+// activation — and dispatches to the matching kernel or falls back to the
+// generic dispatch loop.
 //
 // Selection rules (compile time, on the lowered plan):
 //   scan_filter_emit  — exactly one join level and no negations: iterate the
@@ -26,9 +28,15 @@ namespace sqod {
 //                       the key width — the transitive-closure shape that
 //                       dominates E2/E4. Requires runtime indexes; falls
 //                       back to generic when they are off.
-//   generic           — everything else: the bytecode dispatch loop.
+//   generic           — everything else, and head-bound plans: the bytecode
+//                       dispatch loop.
 //
-// All kernels preserve the interpreter's counter semantics exactly
+// Kernels read live rows and emit through the evaluation emit only, so a
+// maintenance activation (VmContext::views or ::sink set) always runs the
+// generic loop, whatever the plan selected. That is decided per activation
+// from its own inputs.
+//
+// All kernels preserve the generic loop's counter semantics exactly
 // (probes per candidate row, cmp_checks per comparison, firings per
 // complete match, duplicates/derived at emit); only RuleProfile::ops is
 // kernel-defined (executed inner-loop steps rather than dispatched ops).
@@ -37,10 +45,11 @@ namespace sqod {
 KernelId SelectKernel(const CompiledRule& rule);
 
 // Runs one activation through the selected kernel (or the generic loop when
-// `use_kernels` is off, the plan selected kGeneric, or the kernel's runtime
-// requirements — e.g. indexes — are not met). Returns the kernel that
-// actually ran, for the eval/kernel_* activation counters. Callers must
-// have run ResolveRelations first.
+// `use_kernels` is off, the plan selected kGeneric, the activation has row
+// views or a sink, or the kernel's runtime requirements — e.g. indexes —
+// are not met). Returns the kernel that actually ran, for the
+// eval/kernel_* activation counters. The context's relation vectors must
+// be filled (ResolveRelations, or the maintainer by body position).
 KernelId RunCompiled(const CompiledRule& rule, VmContext* ctx,
                      bool use_kernels);
 

@@ -6,7 +6,7 @@
 #include <utility>
 
 #include "src/base/check.h"
-#include "src/eval/bindings.h"
+#include "src/eval/kernel.h"
 #include "src/obs/trace.h"
 
 namespace sqod {
@@ -199,6 +199,13 @@ Result<MaintenancePlan> BuildMaintenancePlan(const Program& program) {
   PlanScratch scratch;
   for (int r = 0; r < static_cast<int>(rules.size()); ++r) {
     const Rule& rule = rules[r];
+    auto lower = [&](const Rule& body, int first, bool head_bound = false) {
+      CompiledRule cr = CompileRulePlan(
+          BuildPlan(body, r, first, &scratch, head_bound), plan.idb_preds,
+          head_bound);
+      plan.max_regs = std::max(plan.max_regs, cr.num_regs);
+      return cr;
+    };
     const int stratum = plan.stratum_of.at(rule.head.pred());
     MaintenancePlan::Stratum& st = plan.strata[stratum];
     st.rules.push_back(r);
@@ -224,141 +231,45 @@ Result<MaintenancePlan> BuildMaintenancePlan(const Program& program) {
         // flip the literal positive so BuildPlan can open the body there.
         Rule flipped = rule;
         flipped.body[i].negated = false;
-        rm.delta_plans.push_back(BuildPlan(flipped, r, i, &scratch));
+        rm.delta_plans.push_back(lower(flipped, i));
       } else {
-        rm.delta_plans.push_back(BuildPlan(rule, r, i, &scratch));
+        rm.delta_plans.push_back(lower(rule, i));
       }
     }
-    rm.support_plan = BuildPlan(rule, r, -1, &scratch, /*head_bound=*/true);
-    rm.init_plan = BuildPlan(rule, r, -1, &scratch);
+    rm.support_plan = lower(rule, -1, /*head_bound=*/true);
+    rm.init_plan = lower(rule, -1);
   }
   return plan;
 }
 
 namespace {
 
-// Which rows of a relation a plan position sees: the current live set, the
-// previous snapshot, or everything (delta relations are plain and finite).
-struct MaintSource {
-  const Relation* rel = nullptr;
-  enum class View { kLive, kOld, kAll } view = View::kLive;
+// Adapts a callable bool(const Value* head, int n) to the executor's sink.
+template <typename F>
+struct FnSink final : HeadSink {
+  F fn;
+  explicit FnSink(F f) : fn(std::move(f)) {}
+  bool Accept(const Value* head, int n) override { return fn(head, n); }
 };
-
-inline bool RowVisible(const MaintSource& src, int64_t r, int64_t old_v) {
-  switch (src.view) {
-    case MaintSource::View::kLive: return src.rel->live(r);
-    case MaintSource::View::kOld: return src.rel->LiveAt(r, old_v);
-    case MaintSource::View::kAll: return true;
-  }
-  return false;
-}
-
-// Recursive join over the plan steps against per-position sources, calling
-// sink(head_vals, n) per complete body match. A sink sets *stop to end the
-// enumeration early (support checks need one witness, not all of them).
-template <typename Sink>
-void RunMaintSteps(const RulePlan& plan,
-                   const std::vector<MaintSource>& sources, int64_t old_v,
-                   size_t step_index, Bindings* bindings, bool* stop,
-                   Sink&& sink) {
-  if (*stop) return;
-  if (step_index == plan.steps.size()) {
-    Value head[Relation::kMaxArity];
-    const int n = static_cast<int>(plan.head.size());
-    for (int i = 0; i < n; ++i) head[i] = ArgValue(plan.head[i], *bindings);
-    sink(head, n);
-    return;
-  }
-  const PlanStep& step = plan.steps[step_index];
-  switch (step.kind) {
-    case PlanStep::Kind::kComparison: {
-      if (EvalCmp(ArgValue(step.lhs, *bindings), step.op,
-                  ArgValue(step.rhs, *bindings))) {
-        RunMaintSteps(plan, sources, old_v, step_index + 1, bindings, stop,
-                      sink);
-      }
-      return;
-    }
-    case PlanStep::Kind::kNegation: {
-      Value key[Relation::kMaxArity];
-      const int n = static_cast<int>(step.args.size());
-      for (int i = 0; i < n; ++i) key[i] = ArgValue(step.args[i], *bindings);
-      const MaintSource& src = sources[step.index];
-      bool present = false;
-      if (src.rel != nullptr) {
-        if (src.view == MaintSource::View::kOld) {
-          int32_t r = src.rel->FindRow(key, n);
-          present = r >= 0 && src.rel->LiveAt(r, old_v);
-        } else {
-          present = src.rel->Contains(key, n);
-        }
-      }
-      if (!present) {
-        RunMaintSteps(plan, sources, old_v, step_index + 1, bindings, stop,
-                      sink);
-      }
-      return;
-    }
-    case PlanStep::Kind::kJoin: {
-      const MaintSource& src = sources[step.index];
-      const Relation* rel = src.rel;
-      if (rel == nullptr || rel->empty()) return;
-
-      uint64_t mask = 0;
-      Value key[Relation::kMaxArity];
-      int klen = 0;
-      const int n = static_cast<int>(step.args.size());
-      for (int i = 0; i < n; ++i) {
-        const ArgRef& a = step.args[i];
-        if (a.var < 0) {
-          mask |= uint64_t{1} << i;
-          key[klen++] = a.const_val;
-        } else if (bindings->IsBound(a.var)) {
-          mask |= uint64_t{1} << i;
-          key[klen++] = bindings->Get(a.var);
-        }
-      }
-
-      auto try_row = [&](int64_t r) {
-        if (!RowVisible(src, r, old_v)) return;
-        TupleRef row = rel->row(r);
-        size_t mark = bindings->Mark();
-        bool ok = true;
-        for (int i = 0; i < n && ok; ++i) {
-          const ArgRef& a = step.args[i];
-          ok = a.var < 0 ? a.const_val == row[i]
-                         : bindings->Bind(a.var, row[i]);
-        }
-        if (ok) {
-          RunMaintSteps(plan, sources, old_v, step_index + 1, bindings, stop,
-                        sink);
-        }
-        bindings->Restore(mark);
-      };
-
-      if (mask != 0) {
-        Relation::Matches m = rel->Probe(mask, key);
-        for (int32_t r = m.row; r >= 0 && !*stop; r = m.next[r]) try_row(r);
-      } else {
-        for (int64_t r = 0, rows = rel->size(); r < rows && !*stop; ++r) {
-          try_row(r);
-        }
-      }
-      return;
-    }
-  }
-}
 
 // Shared context for one ApplyDeltaToState call.
 struct MaintCtx {
-  const Program* program;
   const MaintenancePlan* plan;
   MaterializedState* state;
   int64_t old_v = 0;        // previous snapshot version (V - 1)
   Database dplus;           // net insertions so far, EDB + completed strata
   Database dminus;          // net deletions so far
-  Bindings bindings;
   MaintainStats* stats = nullptr;
+  // Executor scratch, reused by every activation. The activations' work
+  // counters land in `profile` and are not reported: MaintainStats
+  // measures maintenance by its effect on the state.
+  std::vector<Value> regs;
+  std::vector<const Relation*> level_rels, neg_rels;
+  std::vector<RowView> views;
+  RuleProfile profile;
+
+  MaintCtx(const MaintenancePlan* p, MaterializedState* s)
+      : plan(p), state(s), regs(p->max_regs) {}
 
   const Relation* Rel(PredId p) const {
     return plan->idb_preds.count(p) > 0 ? state->idb.Find(p)
@@ -366,66 +277,77 @@ struct MaintCtx {
   }
 };
 
+// Runs one maintenance activation of `cr` through RunCompiled. Each level
+// and negation check reads the state relation of its predicate, except
+// body position `delta_pos`, which reads `delta_rel`. `views` (by body
+// position; null = all live) picks the rows each one sees, and `head_in`
+// seeds a head-bound plan. `fn(head, n)` receives every complete match's
+// head tuple and returns false to stop.
+template <typename F>
+void RunMaint(MaintCtx* ctx, const CompiledRule& cr, int delta_pos,
+              const Relation* delta_rel, const RowView* views,
+              const Value* head_in, F fn) {
+  ctx->level_rels.clear();
+  for (const LevelInfo& lvl : cr.levels) {
+    ctx->level_rels.push_back(lvl.body_index == delta_pos ? delta_rel
+                                                          : ctx->Rel(lvl.pred));
+  }
+  ctx->neg_rels.clear();
+  for (const NegInfo& neg : cr.negs) {
+    ctx->neg_rels.push_back(ctx->Rel(neg.pred));
+  }
+  FnSink<F> sink(std::move(fn));
+  VmContext vm;
+  vm.profile = &ctx->profile;
+  vm.regs = &ctx->regs;
+  vm.level_rels = &ctx->level_rels;
+  vm.neg_rels = &ctx->neg_rels;
+  vm.views = views;
+  vm.old_version = ctx->old_v;
+  vm.sink = &sink;
+  vm.head_in = head_in;
+  RunCompiled(cr, &vm, /*use_kernels=*/false);
+}
+
 // How the non-delta positions of a delta plan read the state. Counting uses
 // the telescoping discipline (new before the delta position, old after), so
 // each changed derivation is enumerated exactly once; DRed phases read one
 // consistent snapshot (old while over-deleting, new while re-inserting).
 enum class OthersView { kTelescope, kAllOld, kAllLive };
 
-template <typename Sink>
+template <typename F>
 void RunDeltaPlan(MaintCtx* ctx, const MaintenancePlan::RuleMaint& rm, int i,
-                  const Relation* delta_rel, OthersView others, Sink&& sink) {
+                  const Relation* delta_rel, OthersView others, F fn) {
   if (delta_rel == nullptr || delta_rel->empty()) return;
-  const RulePlan& plan = rm.delta_plans[i];
   const int nbody = static_cast<int>(rm.body_pred.size());
-  std::vector<MaintSource> sources(nbody);
+  ctx->views.resize(nbody);
   for (int j = 0; j < nbody; ++j) {
-    if (j == i) {
-      sources[j] = {delta_rel, MaintSource::View::kAll};
-      continue;
-    }
-    MaintSource::View view = MaintSource::View::kLive;
+    RowView view = RowView::kLive;
     switch (others) {
       case OthersView::kTelescope:
-        view = j < i ? MaintSource::View::kLive : MaintSource::View::kOld;
+        view = j < i ? RowView::kLive : RowView::kOld;
         break;
-      case OthersView::kAllOld: view = MaintSource::View::kOld; break;
-      case OthersView::kAllLive: view = MaintSource::View::kLive; break;
+      case OthersView::kAllOld: view = RowView::kOld; break;
+      case OthersView::kAllLive: view = RowView::kLive; break;
     }
-    sources[j] = {ctx->Rel(rm.body_pred[j]), view};
+    ctx->views[j] = j == i ? RowView::kAll : view;
   }
-  bool stop = false;
-  ctx->bindings.Reset(plan.num_vars);
-  RunMaintSteps(plan, sources, ctx->old_v, 0, &ctx->bindings, &stop, sink);
+  RunMaint(ctx, rm.delta_plans[i], i, delta_rel, ctx->views.data(), nullptr,
+           std::move(fn));
 }
 
 // True when `t` has at least one full-body derivation of `rm`'s rule in the
-// current live state. The support plan's head slots are seeded from `t`.
+// current live state. The support plan's prologue loads its head registers
+// from `t` and rejects a candidate that contradicts the head.
 bool HasSupport(MaintCtx* ctx, const MaintenancePlan::RuleMaint& rm,
                 const Value* t, int n) {
-  const RulePlan& plan = rm.support_plan;
-  if (static_cast<int>(plan.head.size()) != n) return false;
-  ctx->bindings.Reset(plan.num_vars);
-  for (int i = 0; i < n; ++i) {
-    const ArgRef& a = plan.head[i];
-    if (a.var < 0) {
-      if (a.const_val != t[i]) return false;
-    } else if (!ctx->bindings.Bind(a.var, t[i])) {
-      return false;  // repeated head variable with conflicting values
-    }
-  }
-  const int nbody = static_cast<int>(rm.body_pred.size());
-  std::vector<MaintSource> sources(nbody);
-  for (int j = 0; j < nbody; ++j) {
-    sources[j] = {ctx->Rel(rm.body_pred[j]), MaintSource::View::kLive};
-  }
+  if (rm.support_plan.head_arity != n) return false;
   bool found = false;
-  bool stop = false;
-  RunMaintSteps(plan, sources, ctx->old_v, 0, &ctx->bindings, &stop,
-                [&](const Value*, int) {
-                  found = true;
-                  stop = true;
-                });
+  RunMaint(ctx, rm.support_plan, -1, nullptr, nullptr, t,
+           [&](const Value*, int) {
+             found = true;
+             return false;
+           });
   return found;
 }
 
@@ -476,10 +398,12 @@ void MaintainCountingStratum(MaintCtx* ctx,
       RunDeltaPlan(ctx, rm, i, gain, OthersView::kTelescope,
                    [&](const Value* vals, int n) {
                      scratch.Add(head, vals, n, +1);
+                     return true;
                    });
       RunDeltaPlan(ctx, rm, i, lose, OthersView::kTelescope,
                    [&](const Value* vals, int n) {
                      scratch.Add(head, vals, n, -1);
+                     return true;
                    });
     }
   }
@@ -559,6 +483,7 @@ void MaintainDredStratum(MaintCtx* ctx,
       RunDeltaPlan(ctx, rm, i, lose, OthersView::kAllOld,
                    [&](const Value* vals, int n) {
                      over_delete(vals, n, head);
+                     return true;
                    });
     }
   }
@@ -577,6 +502,7 @@ void MaintainDredStratum(MaintCtx* ctx,
         RunDeltaPlan(ctx, rm, i, drel, OthersView::kAllOld,
                      [&](const Value* vals, int n) {
                        over_delete(vals, n, head);
+                       return true;
                      });
       }
     }
@@ -639,6 +565,7 @@ void MaintainDredStratum(MaintCtx* ctx,
     RunDeltaPlan(ctx, rm, i, drel, OthersView::kAllLive,
                  [&](const Value* vals, int n) {
                    derived.emplace_back(vals, vals + n);
+                   return true;
                  });
     PredId head = rm.delta_plans[i].head_pred;
     for (const Tuple& t : derived) {
@@ -799,10 +726,7 @@ Status RecomputeState(const Program& program, const MaintenancePlan& plan,
 void InitializeDerivationCounts(const Program& program,
                                 const MaintenancePlan& plan,
                                 MaterializedState* state) {
-  MaintCtx ctx;
-  ctx.program = &program;
-  ctx.plan = &plan;
-  ctx.state = state;
+  MaintCtx ctx(&plan, state);
   ctx.old_v = state->version;
 
   for (const MaintenancePlan::Stratum& st : plan.strata) {
@@ -814,25 +738,17 @@ void InitializeDerivationCounts(const Program& program,
       rel->ResetCounts();
     }
     for (int r : st.rules) {
-      const MaintenancePlan::RuleMaint& rm = plan.rules[r];
-      const RulePlan& ip = rm.init_plan;
-      const int nbody = static_cast<int>(rm.body_pred.size());
-      std::vector<MaintSource> sources(nbody);
-      for (int j = 0; j < nbody; ++j) {
-        sources[j] = {ctx.Rel(rm.body_pred[j]), MaintSource::View::kLive};
-      }
-      Relation* rel = state->idb.FindOrCreate(
-          ip.head_pred, static_cast<int>(ip.head.size()));
-      bool stop = false;
-      ctx.bindings.Reset(ip.num_vars);
-      RunMaintSteps(ip, sources, ctx.old_v, 0, &ctx.bindings, &stop,
-                    [&](const Value* vals, int n) {
-                      int32_t row = rel->FindRow(vals, n);
-                      SQOD_CHECK_MSG(row >= 0 && rel->live(row),
-                                     "count init found a derivation for a "
-                                     "tuple missing from the fixpoint");
-                      rel->add_count(row, 1);
-                    });
+      const CompiledRule& ip = plan.rules[r].init_plan;
+      Relation* rel = state->idb.FindOrCreate(ip.head_pred, ip.head_arity);
+      RunMaint(&ctx, ip, -1, nullptr, nullptr, nullptr,
+               [&](const Value* vals, int n) {
+                 int32_t row = rel->FindRow(vals, n);
+                 SQOD_CHECK_MSG(row >= 0 && rel->live(row),
+                                "count init found a derivation for a "
+                                "tuple missing from the fixpoint");
+                 rel->add_count(row, 1);
+                 return true;
+               });
     }
   }
 }
@@ -846,10 +762,7 @@ Result<MaintainStats> ApplyDeltaToState(const Program& program,
   MaintainStats stats;
   stats.version = state->version;
 
-  MaintCtx ctx;
-  ctx.program = &program;
-  ctx.plan = &plan;
-  ctx.state = state;
+  MaintCtx ctx(&plan, state);
   ctx.stats = &stats;
 
   SQOD_RETURN_IF_ERROR(

@@ -9,9 +9,9 @@
 
 #include "src/ast/program.h"
 #include "src/base/status.h"
+#include "src/eval/bytecode.h"
 #include "src/eval/database.h"
 #include "src/eval/evaluator.h"
-#include "src/eval/plan.h"
 
 namespace sqod {
 
@@ -19,8 +19,9 @@ namespace sqod {
 //
 // A materialized view keeps the full IDB warm between requests. When the
 // EDB changes by a small delta, re-deriving everything from scratch wastes
-// work proportional to the database; this layer propagates just the change,
-// reusing the semi-naive delta plans:
+// work proportional to the database; this layer propagates just the change
+// with delta plans lowered to the evaluator's bytecode (RunCompiled), each
+// level reading the live state, the old snapshot or the change relation:
 //
 //  * Non-recursive strata use counting: every IDB tuple carries its number
 //    of distinct derivations. A delta join with the changed subgoal at
@@ -82,8 +83,9 @@ struct MaintainStats {
 };
 
 // The static maintenance plan for one program: stratification, per-rule
-// delta/support/init plans, and the predicate indexes used to skip
-// untouched strata. Built once per materialized view; immutable afterwards.
+// delta/support/init plans (compiled bytecode), and the predicate indexes
+// used to skip untouched strata. Built once per materialized view;
+// immutable afterwards.
 struct MaintenancePlan {
   // Per program rule, plans for every way a delta can enter its body.
   struct RuleMaint {
@@ -91,14 +93,14 @@ struct MaintenancePlan {
     // Parallel to rule.body. delta_plans[i] evaluates the body with the
     // delta at position i (a negated literal is flipped positive there: the
     // delta of "not B" is a scan over the finite change to B).
-    std::vector<RulePlan> delta_plans;
+    std::vector<CompiledRule> delta_plans;
     std::vector<uint8_t> negated;   // rule.body[i].negated
     std::vector<PredId> body_pred;  // rule.body[i].atom.pred()
-    // Full-body plan ordered as if the head were bound; DRed support
-    // checks seed it with a candidate tuple.
-    RulePlan support_plan;
+    // Full-body head-bound plan; DRed support checks load its head
+    // registers from a candidate tuple.
+    CompiledRule support_plan;
     // Full-body plan for count initialization (counting strata only).
-    RulePlan init_plan;
+    CompiledRule init_plan;
   };
 
   struct Stratum {
@@ -112,6 +114,7 @@ struct MaintenancePlan {
   std::vector<RuleMaint> rules;     // indexed by program rule index
   std::set<PredId> idb_preds;
   std::map<PredId, int> stratum_of;  // IDB pred -> stratum index
+  int max_regs = 0;  // max CompiledRule::num_regs, for scratch sizing
 };
 
 Result<MaintenancePlan> BuildMaintenancePlan(const Program& program);

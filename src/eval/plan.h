@@ -10,12 +10,11 @@
 
 namespace sqod {
 
-// The rule-plan layer shared by the interpreting evaluator
-// (src/eval/evaluator.cc) and the bytecode compiler (src/eval/bytecode.cc):
-// BuildPlan picks the body evaluation order for one (rule, delta-subgoal)
-// combination and pre-resolves every argument, producing a RulePlan that
-// downstream consumers either interpret step by step or lower further into
-// flat register bytecode.
+// The rule-plan layer in front of the bytecode compiler
+// (src/eval/bytecode.cc): BuildPlan picks the body evaluation order for one
+// (rule, delta-subgoal) combination and pre-resolves every argument,
+// producing a RulePlan that CompileRulePlan lowers into flat register
+// bytecode. Plans are never executed directly.
 
 // A compiled atom argument: either an inline constant (var < 0) or a
 // rule-local variable slot.
@@ -24,8 +23,8 @@ struct ArgRef {
   int32_t var = -1;
 };
 
-// One compiled step of a rule-evaluation plan. Arguments are pre-resolved
-// to ArgRefs so the join inner loop touches no AST nodes.
+// One step of a rule-evaluation plan. Arguments are pre-resolved to
+// ArgRefs so lowering touches no AST nodes.
 struct PlanStep {
   enum class Kind { kJoin, kNegation, kComparison };
   Kind kind;
@@ -67,7 +66,7 @@ struct PlanScratch {
 // `scratch` (optional) carries reusable buffers across calls.
 //
 // `head_bound` orders the body as if every head variable were already
-// bound (the caller pre-binds plan.head's slots before running the steps).
+// bound (the lowered plan's prologue loads them from a candidate tuple).
 // Used by the maintenance layer's DRed support checks, which ask "is this
 // specific head tuple still derivable" — with the head seeded, the greedy
 // most-bound order starts from atoms sharing head variables instead of a

@@ -1,30 +1,32 @@
-// Equivalence suite: every engine configuration must produce identical
-// sorted query answers — semi-naive vs naive iteration, indexes on vs off,
-// and (the compiled-bytecode contract) interpreted PlanSteps vs generic
-// bytecode dispatch vs specialized join kernels. Within one
-// (semi_naive, use_indexes) point the three execution modes must also agree
-// on the work counters exactly: the bytecode compiler pins probes,
-// cmp_checks, firings, derived and duplicates to the interpreter's
-// semantics, so any divergence in masking, probe chains, or early pruning
-// shows up here as a stats mismatch, not just an answer mismatch.
+// Equivalence suite for the compiled rule executor. Every configuration —
+// semi-naive vs naive iteration, indexes on vs off, the generic bytecode
+// dispatch loop vs the specialized join kernels, threads 1/2/4 — must
+// produce the reference evaluator's answers (tests/reference_eval.h: naive
+// nested loops, no indexes, no plans) and exactly the golden work counters
+// in tests/golden/eval_counters.golden.
 //
-// Coverage: the Figure 1 worked example, the GoodPath and ColoredClosure
-// workload families, stratified IDB negation with comparisons, and a
-// randomized program/EDB fuzz sweep.
+// The goldens were captured from the PlanStep interpreter the bytecode
+// replaced, so they pin the interpreter's counter semantics: per-rule
+// firings, derived, duplicates, probes and cmp_checks at every
+// (semi_naive, use_indexes) point, for both executors and every thread
+// count, plus the compiled `ops` of each executor at threads = 1 (ops
+// scales with the parallel task count, so only the serial value is
+// pinned). Any divergence in masking, probe chains, early pruning or the
+// partition merge shows up as a counter mismatch, not just an answer
+// mismatch.
 //
-// The parallel contract rides the same helper: every semi-naive
-// configuration also runs with threads = 2 and 4 (hash-partitioned
-// iterations, EvalOptions::threads) and must match the serial run on
-// answers, aggregate stats, and per-rule counters — partitioning changes
-// who finds a tuple first, and the barrier merge must reclassify the
-// losers so the counters don't notice. These suites run under TSan in CI
-// (the EvalEquiv regex), which also makes them a data-race check on the
-// partition tasks.
+// Corpus (tests/eval_corpus.h): the Figure 1 worked example, the GoodPath
+// and colored-closure workload families, stratified IDB negation with
+// comparisons, repeated variables, the E2/E4 bench slices CI runs, and a
+// 200-program random fuzz sweep. The threads = {2, 4} runs partition real
+// tasks; these suites run under TSan in CI (the EvalEquiv regex), which
+// makes them a data-race check on the partition tasks too.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
-#include <random>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -34,140 +36,170 @@
 #include "src/parser/parser.h"
 #include "src/workload/graphs.h"
 #include "src/workload/programs.h"
+#include "tests/eval_corpus.h"
+#include "tests/reference_eval.h"
 
 namespace sqod {
 namespace {
 
-using FuzzRng = std::mt19937_64;
-
-int RandInt(FuzzRng* rng, int lo, int hi) {  // inclusive
-  return lo + static_cast<int>((*rng)() % (hi - lo + 1));
-}
-
-// The three plan-execution strategies under test. Interpret is the
-// reference; compile runs the generic bytecode loop; kernels adds the
-// per-rule specialized kernels on top of compile.
+// The two executors under test: the generic dispatch loop is the kernels'
+// counter-exact reference.
 struct ExecMode {
-  EvalMode mode;
   bool use_kernels;
   const char* name;
 };
 
 constexpr ExecMode kExecModes[] = {
-    {EvalMode::kInterpret, false, "interpret"},
-    {EvalMode::kCompile, false, "compile-generic"},
-    {EvalMode::kCompile, true, "compile-kernels"},
+    {false, "compile-generic"},
+    {true, "compile-kernels"},
 };
 
-// Per-rule counter signature, excluding the two fields the contract leaves
-// free: ops (scales with parallel task count; 0 in interpret mode) and
-// time_ns (wall clock).
-std::string ProfileSignature(const std::vector<RuleProfile>& profiles) {
+// Golden line: "<label> sn=<0|1> idx=<0|1> | <counters> | <ops>", keyed by
+// everything before the first " | ". Fuzz cases store FNV-1a hashes of
+// the two signatures instead of the signatures themselves.
+struct Golden {
+  std::string counters;
+  std::string ops;
+};
+
+const std::map<std::string, Golden>& Goldens() {
+  static const std::map<std::string, Golden> goldens = [] {
+    std::map<std::string, Golden> out;
+    std::ifstream in(std::string(SQOD_TESTS_DIR) +
+                     "/golden/eval_counters.golden");
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.empty() || line[0] == '#') continue;
+      const size_t a = line.find(" | ");
+      const size_t b = line.find(" | ", a + 3);
+      out[line.substr(0, a)] = {line.substr(a + 3, b - a - 3),
+                                line.substr(b + 3)};
+    }
+    return out;
+  }();
+  return goldens;
+}
+
+std::string Hash(const std::string& s) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  char buf[20];
+  std::snprintf(buf, sizeof(buf), "#%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// Iterations, answer count, and per-rule firings/derived/duplicates/
+// probes/cmp_checks.
+std::string CounterSignature(const EvalStats& stats, size_t answers,
+                             const std::vector<RuleProfile>& profiles) {
   std::ostringstream out;
+  out << "it=" << stats.iterations << " n=" << answers;
   for (const RuleProfile& p : profiles) {
-    out << "rule=" << p.rule_index << " firings=" << p.firings
-        << " derived=" << p.derived << " dups=" << p.duplicates
-        << " probes=" << p.probes << " cmps=" << p.cmp_checks << "\n";
+    out << " r" << p.rule_index << "=" << p.firings << "/" << p.derived << "/"
+        << p.duplicates << "/" << p.probes << "/" << p.cmp_checks;
   }
   return out.str();
 }
 
-// Runs `program` against `edb` under all configurations
-// (semi_naive x use_indexes x execution mode x threads, parallel being
-// semi-naive only) and asserts:
-//  * answers identical everywhere, and
-//  * EvalStats and per-rule counters identical across execution modes AND
-//    thread counts within one (semi_naive, use_indexes) point (iteration
-//    strategy and index usage legitimately change the counters; the
-//    execution mode and partitioning must not).
-void ExpectAllConfigurationsAgree(const Program& program, const Database& edb,
-                                  const std::string& label) {
-  std::vector<Tuple> reference;
-  bool have_reference = false;
+// Per-rule ops of the generic loop / the kernels, at threads = 1.
+std::string OpsSignature(const std::vector<RuleProfile>& generic,
+                         const std::vector<RuleProfile>& kernels) {
+  std::ostringstream out;
+  for (size_t i = 0; i < generic.size(); ++i) {
+    out << (i == 0 ? "r" : " r") << i << "=" << generic[i].ops << "/"
+        << kernels[i].ops;
+  }
+  return out.str();
+}
+
+// Runs `c` under every configuration its goldens cover (semi_naive x
+// use_indexes for all_configs cases, the defaults otherwise) x executor x
+// threads (parallel being semi-naive only) and asserts the answers match
+// the reference evaluator (or, for the bench slices, which are too big for
+// it, each other) and the counters match the goldens.
+void ExpectMatchesReferenceAndGoldens(const corpus::Case& c) {
+  const std::string label =
+      c.source.empty() ? c.label : c.label + ":\n" + c.source;
+  const bool fuzz = !c.source.empty();
+  std::vector<Tuple> expected;
+  const bool have_reference = c.all_configs;
+  if (have_reference) expected = reference::Query(c.program, c.edb);
   for (bool semi_naive : {true, false}) {
     for (bool use_indexes : {true, false}) {
-      std::string reference_stats;
-      std::string reference_profiles;
-      for (const ExecMode& exec : kExecModes) {
+      if (!c.all_configs && !(semi_naive && use_indexes)) continue;
+      const std::string key = c.label + " sn=" + (semi_naive ? "1" : "0") +
+                              " idx=" + (use_indexes ? "1" : "0");
+      auto golden = Goldens().find(key);
+      ASSERT_NE(golden, Goldens().end()) << "no golden for " << key;
+      std::vector<RuleProfile> serial[2];
+      for (int e = 0; e < 2; ++e) {
         for (int threads : {1, 2, 4}) {
           // Naive iteration is always serial; one run covers it.
           if (!semi_naive && threads != 1) continue;
           EvalOptions options;
           options.semi_naive = semi_naive;
           options.use_indexes = use_indexes;
-          options.mode = exec.mode;
-          options.use_kernels = exec.use_kernels;
+          options.use_kernels = kExecModes[e].use_kernels;
           options.threads = threads;
           EvalStats stats;
           std::vector<RuleProfile> profiles;
           Result<std::vector<Tuple>> result =
-              EvaluateQuery(program, edb, options, &stats, &profiles);
-          std::string config = std::string(" [") + exec.name +
-                               " semi_naive=" + (semi_naive ? "1" : "0") +
-                               " use_indexes=" + (use_indexes ? "1" : "0") +
-                               " threads=" + std::to_string(threads) + "]";
+              EvaluateQuery(c.program, c.edb, options, &stats, &profiles);
+          const std::string config = " [" + key + " " + kExecModes[e].name +
+                                     " threads=" + std::to_string(threads) +
+                                     "]";
           ASSERT_TRUE(result.ok())
               << label << config << ": " << result.status().message();
-          std::vector<Tuple> answers = result.take();
-          if (!have_reference) {
-            reference = answers;
-            have_reference = true;
-          }
-          ASSERT_EQ(reference, answers)
+          if (!have_reference && expected.empty()) expected = result.value();
+          ASSERT_EQ(expected, result.value())
               << label << config << " diverged on answers";
-          if (reference_stats.empty()) {
-            reference_stats = stats.ToString();
-            reference_profiles = ProfileSignature(profiles);
-          } else {
-            ASSERT_EQ(reference_stats, stats.ToString())
-                << label << config << " diverged on counters";
-            ASSERT_EQ(reference_profiles, ProfileSignature(profiles))
-                << label << config << " diverged on per-rule counters";
-          }
+          std::string counters =
+              CounterSignature(stats, result.value().size(), profiles);
+          ASSERT_EQ(golden->second.counters,
+                    fuzz ? Hash(counters) : counters)
+              << label << config << " diverged from the golden counters"
+              << "\n  got: " << counters;
+          if (threads == 1) serial[e] = std::move(profiles);
         }
       }
+      const std::string ops = OpsSignature(serial[0], serial[1]);
+      ASSERT_EQ(golden->second.ops, fuzz ? Hash(ops) : ops)
+          << label << " [" << key << "] diverged from the golden ops"
+          << "\n  got: " << ops;
     }
   }
+}
+
+const corpus::Case& NamedCase(const std::string& label) {
+  static const std::vector<corpus::Case> cases = corpus::NamedCases();
+  for (const corpus::Case& c : cases) {
+    if (c.label == label) return c;
+  }
+  SQOD_CHECK_MSG(false, label.c_str());
+  return cases.front();
 }
 
 // The Figure 1 worked example, as shipped in examples/figure1.dl (the
 // a/b closure program with facts).
 TEST(EvalEquivTest, Figure1FourWayEquivalence) {
-  std::ifstream in(std::string(SQOD_EXAMPLES_DIR) + "/figure1.dl");
-  ASSERT_TRUE(in.good());
-  std::ostringstream source;
-  source << in.rdbuf();
-  Result<ParsedUnit> parsed = ParseUnit(source.str());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  Database edb;
-  for (const Atom& fact : parsed.value().facts) edb.InsertAtom(fact);
-  ExpectAllConfigurationsAgree(parsed.value().program, edb, "figure1.dl");
+  ExpectMatchesReferenceAndGoldens(NamedCase("figure1"));
 }
 
 // The Section 3 GoodPath program over its generated workload (the E2
 // bench family, scaled down): linear recursion plus bound-key joins —
 // the shape the scan_probe_emit kernel targets.
 TEST(EvalEquivTest, GoodPathFourWayEquivalence) {
-  Rng rng(20260808);
-  GoodPathConfig config;
-  config.nodes = 120;
-  config.edges = 420;
-  config.num_start = 8;
-  config.num_end = 8;
-  config.threshold = 30;
-  Database edb = MakeGoodPathWorkload(config, &rng);
-  ExpectAllConfigurationsAgree(MakeGoodPathProgram(), edb, "goodpath");
+  ExpectMatchesReferenceAndGoldens(NamedCase("goodpath"));
 }
 
 // The E4 family: k-colored transitive closure (one base + one recursive
 // rule per color) over random colored edges.
 TEST(EvalEquivTest, ColoredClosureFourWayEquivalence) {
-  Rng rng(20260808);
-  ColoredClosure workload = MakeColoredClosure(/*colors=*/3, /*num_ics=*/2,
-                                               &rng);
-  Database edb = MakeColoredEdges(/*colors=*/3, /*nodes=*/60, /*edges=*/200,
-                                  workload.ics, &rng);
-  ExpectAllConfigurationsAgree(workload.program, edb, "colored_closure");
+  ExpectMatchesReferenceAndGoldens(NamedCase("colored_closure"));
 }
 
 // Stratified IDB negation plus comparisons: reach in stratum 0, its
@@ -175,132 +207,40 @@ TEST(EvalEquivTest, ColoredClosureFourWayEquivalence) {
 // stratum 2. Exercises kCheckNeg against both EDB and IDB-total sources
 // and kFilterCmp between join levels.
 TEST(EvalEquivTest, StratifiedNegationFourWayEquivalence) {
-  Result<ParsedUnit> parsed = ParseUnit(R"(
-    reach(X) :- start(X).
-    reach(Y) :- reach(X), e(X, Y).
-    dark(X) :- node(X), !reach(X).
-    darkpair(X, Y) :- dark(X), e(X, Y), dark(Y), X < Y, !blocked(X).
-    darkpair(X, Z) :- darkpair(X, Y), e(Y, Z), dark(Z), Y != Z.
-    ?- darkpair.
-  )");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  Database edb;
-  FuzzRng rng(7);
-  const PredId node = InternPred("node"), start = InternPred("start"),
-               blocked = InternPred("blocked"), e = InternPred("e");
-  for (int n = 0; n < 30; ++n) {
-    edb.Insert(node, {Value::Int(n)});
-  }
-  edb.Insert(start, {Value::Int(0)});
-  edb.Insert(start, {Value::Int(3)});
-  edb.Insert(blocked, {Value::Int(17)});
-  edb.Insert(blocked, {Value::Int(21)});
-  for (int i = 0; i < 70; ++i) {
-    edb.Insert(e, {Value::Int(RandInt(&rng, 0, 29)),
-                   Value::Int(RandInt(&rng, 0, 29))});
-  }
-  ExpectAllConfigurationsAgree(parsed.value().program, edb, "stratified_neg");
+  ExpectMatchesReferenceAndGoldens(NamedCase("stratified_neg"));
 }
 
 // Repeated variables inside one subgoal (e(X, X)) and inter-atom repeats:
 // the compiler must not mask a column on a variable the same atom is the
-// first to bind — that was an interpreter/bytecode divergence caught
-// during development, pinned here.
+// first to bind.
 TEST(EvalEquivTest, RepeatedVariableFourWayEquivalence) {
-  Result<ParsedUnit> parsed = ParseUnit(R"(
-    loop(X) :- e(X, X).
-    tri(X, Y) :- e(X, Y), e(Y, X), X <= Y.
-    chain(X, Z) :- loop(X), e(X, Z), e(Z, Z).
-    ?- tri.
-  )");
-  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  Database edb;
-  FuzzRng rng(11);
-  const PredId e = InternPred("e");
-  for (int i = 0; i < 60; ++i) {
-    edb.Insert(e, {Value::Int(RandInt(&rng, 0, 9)),
-                   Value::Int(RandInt(&rng, 0, 9))});
-  }
-  ExpectAllConfigurationsAgree(parsed.value().program, edb, "repeated_vars");
+  ExpectMatchesReferenceAndGoldens(NamedCase("repeated_vars"));
 }
 
-// Generates a random safe program over EDB predicates e0/2, e1/2, f0/1 and
-// IDB predicates p0..p2, plus random facts over a small constant domain.
-// Safety by construction: head variables and negated/compared variables are
-// drawn from the positive body's variables; negation targets EDB only.
-std::string MakeRandomUnit(FuzzRng* rng) {
-  const char* vars[] = {"X", "Y", "Z", "W"};
-  const char* edb_binary[] = {"e0", "e1"};
-  const char* cmp_ops[] = {"<", "<=", ">", ">=", "=", "!="};
-  int num_idb = RandInt(rng, 1, 3);
-  std::string src;
+// The E2 slices CI benchmarks (BM_E2_*_Size/500, BM_E2_*_Fraction/60) and
+// the E4 slices' programs over generated databases, original and
+// rewritten, at the bench's configuration.
+TEST(EvalEquivTest, BenchSlicesMatchGoldens) {
+  for (const char* label :
+       {"e2_original_size_500", "e2_rewritten_size_500",
+        "e2_original_fraction_60", "e2_rewritten_fraction_60",
+        "e4_wide_ic_3_original", "e4_wide_ic_3_rewritten",
+        "e4_colors_2_original", "e4_colors_2_rewritten"}) {
+    ExpectMatchesReferenceAndGoldens(NamedCase(label));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
 
-  for (int p = 0; p < num_idb; ++p) {
-    int num_rules = RandInt(rng, 1, 3);
-    for (int r = 0; r < num_rules; ++r) {
-      // Positive body: 1-3 atoms over EDB and already-introduced IDB preds.
-      int body_len = RandInt(rng, 1, 3);
-      std::vector<std::string> body;
-      std::vector<std::string> body_vars;
-      for (int b = 0; b < body_len; ++b) {
-        bool use_idb = p > 0 && RandInt(rng, 0, 2) == 0;
-        std::string a1 = vars[RandInt(rng, 0, 3)];
-        std::string a2 = vars[RandInt(rng, 0, 3)];
-        body_vars.push_back(a1);
-        if (use_idb) {
-          body_vars.push_back(a2);
-          body.push_back("p" + std::to_string(RandInt(rng, 0, p - 1)) + "(" +
-                         a1 + ", " + a2 + ")");
-        } else if (RandInt(rng, 0, 3) == 0) {
-          body.push_back(std::string("f0(") + a1 + ")");
-        } else {
-          body_vars.push_back(a2);
-          body.push_back(std::string(edb_binary[RandInt(rng, 0, 1)]) + "(" +
-                         a1 + ", " + a2 + ")");
-        }
-      }
-      // Optional safe EDB negation over bound variables.
-      if (RandInt(rng, 0, 2) == 0) {
-        body.push_back("!" + std::string(edb_binary[RandInt(rng, 0, 1)]) +
-                       "(" + body_vars[RandInt(rng, 0, body_vars.size() - 1)] +
-                       ", " +
-                       body_vars[RandInt(rng, 0, body_vars.size() - 1)] + ")");
-      }
-      // Optional comparison over bound variables (or a constant).
-      if (RandInt(rng, 0, 2) == 0) {
-        std::string rhs = RandInt(rng, 0, 1) == 0
-                              ? std::to_string(RandInt(rng, 0, 4))
-                              : body_vars[RandInt(rng, 0,
-                                                  body_vars.size() - 1)];
-        body.push_back(body_vars[RandInt(rng, 0, body_vars.size() - 1)] +
-                       " " + cmp_ops[RandInt(rng, 0, 5)] + " " + rhs);
-      }
-      // Head over bound variables; recursion allowed via same-pred heads.
-      std::string h1 = body_vars[RandInt(rng, 0, body_vars.size() - 1)];
-      std::string h2 = body_vars[RandInt(rng, 0, body_vars.size() - 1)];
-      src += "p" + std::to_string(p) + "(" + h1 + ", " + h2 + ") :- ";
-      for (size_t b = 0; b < body.size(); ++b) {
-        if (b > 0) src += ", ";
-        src += body[b];
-      }
-      src += ".\n";
-    }
+// Every golden line belongs to a corpus case: a case dropped from the
+// corpus cannot silently take its goldens with it.
+TEST(EvalEquivTest, EveryGoldenHasACorpusCase) {
+  std::map<std::string, int> labels;
+  for (const corpus::Case& c : corpus::NamedCases()) ++labels[c.label];
+  for (const corpus::Case& c : corpus::FuzzCases()) ++labels[c.label];
+  for (const auto& [key, golden] : Goldens()) {
+    EXPECT_EQ(labels.count(key.substr(0, key.find(' '))), 1u) << key;
   }
-
-  // Random EDB over a 5-constant domain (finite Herbrand base, so every
-  // configuration reaches the same fixpoint without overflow guards).
-  int facts = RandInt(rng, 3, 14);
-  for (int f = 0; f < facts; ++f) {
-    src += std::string(edb_binary[RandInt(rng, 0, 1)]) + "(" +
-           std::to_string(RandInt(rng, 0, 4)) + ", " +
-           std::to_string(RandInt(rng, 0, 4)) + ").\n";
-  }
-  int unary = RandInt(rng, 0, 4);
-  for (int f = 0; f < unary; ++f) {
-    src += "f0(" + std::to_string(RandInt(rng, 0, 4)) + ").\n";
-  }
-  src += "?- p" + std::to_string(num_idb - 1) + ".\n";
-  return src;
+  EXPECT_GE(Goldens().size(), 800u);
 }
 
 // Parallel-machinery accounting: a partitioned run reports its task and
@@ -425,24 +365,13 @@ TEST(EvalEquivParallelTest, MorePartitionsThanRows) {
 }
 
 TEST(EvalEquivFuzzTest, AllConfigurationsAgree) {
-  FuzzRng rng(20260806);
-  int generated = 0;
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string src = MakeRandomUnit(&rng);
-    Result<ParsedUnit> parsed = ParseUnit(src);
-    // The generator aims for valid programs, but skip the rare rejects
-    // (e.g. a stratification corner) rather than constrain it further.
-    if (!parsed.ok()) continue;
-    ++generated;
-    Database edb;
-    for (const Atom& fact : parsed.value().facts) edb.InsertAtom(fact);
-    ExpectAllConfigurationsAgree(parsed.value().program, edb,
-                                 "fuzz trial " + std::to_string(trial) +
-                                     ":\n" + src);
+  const std::vector<corpus::Case> cases = corpus::FuzzCases();
+  // The generator must actually exercise the engine, not skip everything.
+  EXPECT_GE(cases.size(), 150u);
+  for (const corpus::Case& c : cases) {
+    ExpectMatchesReferenceAndGoldens(c);
     if (::testing::Test::HasFatalFailure()) return;
   }
-  // The generator must actually exercise the engine, not skip everything.
-  EXPECT_GE(generated, 150);
 }
 
 }  // namespace

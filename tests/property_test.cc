@@ -12,6 +12,7 @@
 #include "src/sqo/optimizer.h"
 #include "src/sqo/residue.h"
 #include "src/workload/programs.h"
+#include "tests/reference_eval.h"
 
 namespace sqod {
 namespace {
@@ -40,6 +41,7 @@ TEST_P(PipelineEquivalence, RewritingPreservesAnswers) {
     ASSERT_TRUE(SatisfiesAll(db, cc.ics));
     auto a = EvaluateQuery(cc.program, db).take();
     auto b = EvaluateQuery(report.value().rewritten, db).take();
+    EXPECT_EQ(a, reference::Query(cc.program, db));
     EXPECT_EQ(a, b) << "seed " << param.seed << " trial " << trial;
   }
 }
@@ -123,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(Thresholds, ThresholdSweep,
 
 // ---------------------------------------------------------------------------
 // Evaluator invariants across random graphs: semi-naive == naive ==
-// unindexed, and stats sanity.
+// unindexed == the reference evaluator, and stats sanity.
 
 class EvaluatorAgreement : public ::testing::TestWithParam<uint64_t> {};
 
@@ -139,6 +141,7 @@ TEST_P(EvaluatorAgreement, AllModesAgree) {
   naive_scan.semi_naive = false;
   naive_scan.use_indexes = false;
   auto a = EvaluateQuery(p, db).take();
+  EXPECT_EQ(a, reference::Query(p, db));
   EXPECT_EQ(a, EvaluateQuery(p, db, naive).take());
   EXPECT_EQ(a, EvaluateQuery(p, db, scan).take());
   EXPECT_EQ(a, EvaluateQuery(p, db, naive_scan).take());
@@ -311,6 +314,7 @@ TEST_P(RandomProgramEquivalence, PipelinePreservesAnswers) {
     ASSERT_TRUE(SatisfiesAll(db, rp.ics));
     auto a = EvaluateQuery(rp.program, db).take();
     auto b = EvaluateQuery(report.value().rewritten, db).take();
+    EXPECT_EQ(a, reference::Query(rp.program, db));
     EXPECT_EQ(a, b) << "seed " << param.seed << " trial " << trial
                     << "\nprogram:\n" << rp.program.ToString();
   }

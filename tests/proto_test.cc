@@ -137,7 +137,6 @@ TEST(ProtoTest, QueryRoundTripsEveryField) {
   params.materialized = true;
   params.trace = true;
   params.explain = true;
-  params.eval_mode = "interpret";
   params.disabled_passes = {"residues", "prune"};
   Result<ClientMessage> decoded =
       DecodeClientMessage(EncodeQuery(9, params));
@@ -150,7 +149,6 @@ TEST(ProtoTest, QueryRoundTripsEveryField) {
   EXPECT_TRUE(q.materialized);
   EXPECT_TRUE(q.trace);
   EXPECT_TRUE(q.explain);
-  EXPECT_EQ(q.eval_mode, "interpret");
   EXPECT_EQ(q.disabled_passes,
             (std::vector<std::string>{"residues", "prune"}));
 }
@@ -164,13 +162,6 @@ TEST(ProtoTest, QueryRequiresExactlyOneAddressingMode) {
       R"({"type":"query","id":1,"session":"s","source":"?- p."})");
   ASSERT_FALSE(both.ok());
   EXPECT_EQ(both.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ProtoTest, QueryRejectsUnknownEvalMode) {
-  Result<ClientMessage> decoded = DecodeClientMessage(
-      R"({"type":"query","id":1,"session":"s","eval_mode":"vectorized"})");
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ProtoTest, ApplyDeltaRoundTrips) {
