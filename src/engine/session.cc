@@ -84,9 +84,6 @@ std::string Session::Fingerprint(const SqoOptions& options) const {
     fp += '\n';
   }
   fp += "--options--\n";
-  fp += "tree=" + std::to_string(options.build_query_tree) + ";";
-  fp += "residues=" + std::to_string(options.attach_residues) + ";";
-  fp += "fd=" + std::to_string(options.apply_fd_rewriting) + ";";
   fp += "max_apreds=" + std::to_string(options.adorn.max_adorned_preds) + ";";
   fp += "max_arules=" + std::to_string(options.adorn.max_adorned_rules) + ";";
   fp += "max_classes=" + std::to_string(options.tree.max_classes) + ";";

@@ -70,11 +70,6 @@ struct AdornOptions {
   // pipeline's PassContext store, shared across passes; when null the
   // engine owns a private one.
   TripletStore* store = nullptr;
-  // Memoize the hot combinators (rule-triplet composition, EDB base
-  // triplets, adornment translation) in addition to hash-consing. Output
-  // is identical either way; the switch exists for A/B testing and the
-  // golden interning test.
-  bool memoize = true;
 };
 
 // The bottom-up phase of the Section 4.1 algorithm. Expects the program to
@@ -169,7 +164,6 @@ class AdornmentEngine {
 
   std::unique_ptr<TripletStore> owned_store_;  // fallback when none shared
   TripletStore* store_ = nullptr;
-  bool memoize_ = true;
 
   std::vector<AdornedPred> apreds_;
   std::unordered_map<ApredKey, int, ApredKeyHash> apred_registry_;
@@ -179,7 +173,7 @@ class AdornmentEngine {
   std::unordered_map<std::vector<int32_t>, int, IntVecHash> arule_registry_;
   std::vector<int32_t> key_scratch_;  // reused registry-lookup buffer
 
-  // Memo tables (used when options_.memoize):
+  // Memo tables:
   //   EDB base triplets per unspecialized (rule_index << 32 | body_index);
   //   adornment translation per (apred << 32 | atom id);
   //   instantiated summaries per (summary id << 32 | atom id);

@@ -6,7 +6,30 @@
 namespace sqod {
 
 // The monolithic pipeline became the pass manager (pass_manager.cc); the
-// entry points here are thin wrappers kept for API compatibility.
+// entry points here are thin wrappers kept for API compatibility. The
+// tree-based queries run the pipeline up to the tree pass: residues (which
+// only refine P') are skipped via disabled_passes.
+
+namespace {
+
+// Runs the pipeline through the tree pass into `ctx`, failing when the
+// query tree was not built.
+Status RunToQueryTree(const char* caller, const Program& program,
+                      const std::vector<Constraint>& ics, SqoOptions options,
+                      PassContext* ctx) {
+  options.disabled_passes.push_back("residues");
+  options.disabled_passes.push_back("prune");
+  SQOD_RETURN_IF_ERROR(PassManager(options).RunInto(program, ics, ctx));
+  if (ctx->engine == nullptr || ctx->tree == nullptr) {
+    return Status::FailedPrecondition(
+        std::string(caller) +
+        " requires the adorn and tree passes (a query predicate must be set "
+        "and the passes not disabled)");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 Result<SqoReport> OptimizeProgram(const Program& program,
                                   const std::vector<Constraint>& ics,
@@ -18,32 +41,21 @@ Result<SqoReport> OptimizeProgram(const Program& program,
 Result<bool> QuerySatisfiable(const Program& program,
                               const std::vector<Constraint>& ics,
                               const SqoOptions& options) {
-  SqoOptions opts = options;
-  opts.build_query_tree = true;
-  opts.attach_residues = false;
-  SQOD_ASSIGN_OR_RETURN(SqoReport report,
-                        PassManager(opts).Run(program, ics));
-  return report.query_satisfiable;
+  PassContext ctx;
+  SQOD_RETURN_IF_ERROR(
+      RunToQueryTree("QuerySatisfiable", program, ics, options, &ctx));
+  return ctx.tree->QuerySatisfiable();
 }
 
 Result<bool> QueryReachableAtom(const Program& program,
                                 const std::vector<Constraint>& ics,
                                 const Atom& atom,
                                 const SqoOptions& options) {
-  // Reachability is decided on the query tree itself, so run the pipeline
-  // up to the tree pass and inspect the surviving classes.
-  SqoOptions opts = options;
-  opts.build_query_tree = true;
-  opts.attach_residues = false;
-  opts.disabled_passes.push_back("prune");
-  PassManager manager(opts);
+  // Reachability is decided on the query tree itself: inspect the surviving
+  // classes.
   PassContext ctx;
-  SQOD_RETURN_IF_ERROR(manager.RunInto(program, ics, &ctx));
-  if (ctx.engine == nullptr || ctx.tree == nullptr) {
-    return Status::FailedPrecondition(
-        "QueryReachableAtom requires the adorn and tree passes "
-        "(a query predicate must be set and the passes not disabled)");
-  }
+  SQOD_RETURN_IF_ERROR(
+      RunToQueryTree("QueryReachableAtom", program, ics, options, &ctx));
   const AdornmentEngine& engine = *ctx.engine;
   const QueryTree& tree = *ctx.tree;
 

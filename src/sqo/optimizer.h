@@ -27,25 +27,9 @@ namespace sqod {
 // and no rule chain guaranteed empty by the ICs is ever evaluated.
 
 struct SqoOptions {
-  // Stop after the bottom-up phase and return P1 as the rewriting.
-  // Equivalent to disabling the "tree" pass.
-  bool build_query_tree = true;
-  // Attach expressible residue negations to the rewritten rules.
-  // Equivalent to disabling the "residues" pass.
-  bool attach_residues = true;
-  // Apply FD-based join elimination (ICs of the Theorem 5.5 shape) before
-  // the main pipeline. Equivalent to disabling the "fd_rewrite" pass.
-  bool apply_fd_rewriting = true;
   AdornOptions adorn;
   QueryTreeOptions tree;
   int max_local_rewrite_rules = 100000;
-
-  // Memoize the hot combinators of the pipeline's hash-consing store (rule
-  // triplet merges, IC-atom match deltas, EDB base-triplet lists). The
-  // hash-consing itself is always on; this only toggles the memo tables.
-  // Output is identical either way — the switch exists for A/B comparison
-  // and the golden interning-equivalence test.
-  bool memoize_triplets = true;
 
   // Render the human-readable diagnostic artifacts (SqoReport's
   // adornment_dump, tree_dump, tree_dot) during the run. Off by default:
@@ -55,11 +39,14 @@ struct SqoOptions {
   // turns this on when a --dump-* flag asks for the text.
   bool capture_dumps = false;
 
-  // Pass-pipeline configuration: names of passes to skip, on top of the
-  // legacy flags above (see PassManager::PassNames for the vocabulary).
-  // Unknown names are an error at Run time. Disabling a pass other passes
-  // depend on degrades gracefully: e.g. with "adorn" disabled the tree pass
-  // is structurally skipped and the normalized program is the rewriting.
+  // Pass-pipeline configuration, the one ablation surface: names of passes
+  // to skip (see PassManager::PassNames for the vocabulary). Unknown names
+  // are an error at Run time. Disabling a pass other passes depend on
+  // degrades gracefully: e.g. with "adorn" disabled the tree pass is
+  // structurally skipped and the normalized program is the rewriting;
+  // disabling "tree" returns P1 as the rewriting, "residues" attaches no
+  // residue negations, "fd_rewrite" skips the Theorem 5.5 FD join
+  // elimination.
   std::vector<std::string> disabled_passes;
 
   // Observability hooks, optional and off by default. With an enabled
@@ -139,7 +126,7 @@ struct SqoReport {
 //
 // This is a thin wrapper over the pass manager (src/sqo/pass_manager.h):
 // it runs the standard pipeline (validate, normalize, fd_rewrite,
-// local_rewrite, adorn, tree, residues, prune) honoring the option flags.
+// local_rewrite, adorn, tree, residues, prune) minus options.disabled_passes.
 // New code that needs per-pass control, prepared-program caching, or
 // repeated execution should use the engine layer (src/engine/engine.h).
 Result<SqoReport> OptimizeProgram(const Program& program,
@@ -148,7 +135,8 @@ Result<SqoReport> OptimizeProgram(const Program& program,
 
 // Is the query predicate satisfiable w.r.t. the ICs? (Theorem 4.1/4.2: the
 // query tree has a productive root iff some consistent database yields an
-// answer.)
+// answer.) Decided on the query tree, so it is FailedPrecondition when the
+// program has no query predicate or `options` disables "adorn" or "tree".
 Result<bool> QuerySatisfiable(const Program& program,
                               const std::vector<Constraint>& ics,
                               const SqoOptions& options = {});

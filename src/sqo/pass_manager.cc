@@ -87,7 +87,6 @@ class AdornPass : public Pass {
     AdornOptions adorn_options = ctx.options.adorn;
     adorn_options.tracer = ctx.options.tracer;
     adorn_options.store = ctx.store.get();
-    adorn_options.memoize = ctx.options.memoize_triplets;
     ctx.engine = std::make_unique<AdornmentEngine>(ctx.program, ctx.ics,
                                                    ctx.local, adorn_options);
     SQOD_RETURN_IF_ERROR(ctx.engine->Run());
@@ -158,15 +157,16 @@ class ResiduesPass : public Pass {
   const char* name() const override { return "residues"; }
 
   Status Run(PassContext& ctx) override {
-    // Deliberately no shared AtomMatchMemo here: by this point every rule
-    // has been renamed apart with fresh variables, so body atoms never
-    // repeat across rules and memoized match deltas cannot be reused — the
-    // interner only accumulates dead entries and pays insert cost (~1.5x
-    // slower residues phase on the E4 WideIc workload). ApplyClassicSqo's
-    // per-rule delta table already dedups repeated atoms within one rule.
+    // The residues pass must not go through the store's AtomMatchMemo: by
+    // this point every rule has been renamed apart with fresh variables, so
+    // body atoms never repeat across rules and memoized match deltas cannot
+    // be reused — the interner only accumulates dead entries and pays insert
+    // cost (~1.5x slower residues phase on the E4 WideIc workload).
+    // ApplyClassicSqo's per-call delta table already dedups repeated atoms
+    // within one rule.
     ClassicSqoReport classic;
     ctx.report.rewritten =
-        ApplyClassicSqo(ctx.report.rewritten, ctx.ics, &classic, nullptr);
+        ApplyClassicSqo(ctx.report.rewritten, ctx.ics, &classic);
     ctx.report.residue_rules_deleted = classic.rules_deleted;
     ctx.report.residue_comparisons_added = classic.comparisons_added;
     ctx.report.residue_negations_added = classic.negations_added;
@@ -285,9 +285,6 @@ const std::vector<std::string>& PassManager::PassNames() {
 }
 
 bool PassManager::IsDisabled(const std::string& name) const {
-  if (name == "fd_rewrite" && !options_.apply_fd_rewriting) return true;
-  if (name == "tree" && !options_.build_query_tree) return true;
-  if (name == "residues" && !options_.attach_residues) return true;
   const std::vector<std::string>& disabled = options_.disabled_passes;
   return std::find(disabled.begin(), disabled.end(), name) != disabled.end();
 }
@@ -322,7 +319,6 @@ Status PassManager::RunInto(const Program& program,
   ctx->program = program;
   ctx->ics = ics;
   ctx->store = std::make_unique<TripletStore>();
-  ctx->store->set_memo_enabled(options_.memoize_triplets);
 
   Tracer* tracer = options_.tracer;
   const bool tracing = tracer != nullptr && tracer->enabled();

@@ -18,8 +18,8 @@ namespace sqod {
 // algorithm (validate, normalize, fd_rewrite, local_rewrite, adorn, tree,
 // residues, prune) is a named Pass with a uniform Run(PassContext&)
 // interface; the PassManager owns the pipeline order, per-pass spans and
-// gauges, and the SqoOptions-driven enable/disable logic. OptimizeProgram
-// is a thin wrapper over this machinery.
+// gauges, and skips the passes named in SqoOptions::disabled_passes.
+// OptimizeProgram is a thin wrapper over this machinery.
 
 // Shared state threaded through the pipeline. Passes read and advance
 // `program`/`ics`/`local` and publish their artifacts into `report`;
@@ -78,7 +78,7 @@ class Pass {
 class PassManager {
  public:
   // Builds the standard pipeline. `options` carries both the per-phase
-  // knobs and the pipeline configuration (disabled_passes + legacy flags).
+  // knobs and the pipeline configuration (disabled_passes).
   explicit PassManager(SqoOptions options = {});
   ~PassManager();
 
@@ -88,9 +88,7 @@ class PassManager {
   // Canonical pass names, in pipeline order.
   static const std::vector<std::string>& PassNames();
 
-  // True if `name` is switched off, either via options.disabled_passes or
-  // via the legacy SqoOptions flags (build_query_tree, attach_residues,
-  // apply_fd_rewriting).
+  // True if `name` is listed in options.disabled_passes.
   bool IsDisabled(const std::string& name) const;
 
   // Runs the pipeline over `program`/`ics` and returns the report. Emits

@@ -117,12 +117,10 @@ int32_t TripletStore::MergeRuleTriplets(RuleTripletId a, RuleTripletId b) {
   const uint64_t key =
       (static_cast<uint64_t>(static_cast<uint32_t>(a)) << 32) |
       static_cast<uint32_t>(b);
-  if (memo_enabled_) {
-    auto it = merge_memo_.find(key);
-    if (it != merge_memo_.end()) {
-      ++memo_hits_;
-      return it->second;
-    }
+  auto it = merge_memo_.find(key);
+  if (it != merge_memo_.end()) {
+    ++memo_hits_;
+    return it->second;
   }
   ++memo_misses_;
 
@@ -147,7 +145,7 @@ int32_t TripletStore::MergeRuleTriplets(RuleTripletId a, RuleTripletId b) {
                           std::back_inserter(merged.unmapped));
     result = InternRuleTriplet(merged);
   }
-  if (memo_enabled_) merge_memo_.emplace(key, result);
+  merge_memo_.emplace(key, result);
   return result;
 }
 

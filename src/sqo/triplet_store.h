@@ -35,10 +35,8 @@ using LabelId = int32_t;
 // run. The store is single-threaded, like the pipeline itself; concurrent
 // Session::Prepare calls each run with their own context.
 //
-// set_memo_enabled(false) turns off the *memo tables* (merge and atom-match
-// results are recomputed from scratch on every call) while leaving the
-// hash-consing intact. The optimizer's output must be bit-identical either
-// way — the golden interning test pins that down.
+// The optimizer's output on this store is pinned by
+// tests/golden/sqo_pipeline.golden.
 class TripletStore {
  public:
   // Sentinel returned by MergeRuleTriplets for incompatible sigmas. Kept
@@ -79,8 +77,8 @@ class TripletStore {
   // Interns a query-tree label (per-adornment-triplet unmapped subsets).
   LabelId InternLabel(const std::vector<std::vector<int>>& label);
 
-  // The atom interner + pairwise match memo shared by the IC-atom
-  // partial-homomorphism searches (EDB base triplets, residues, CQ checks).
+  // The atom interner + pairwise match memo of the run: IC-atom matches for
+  // the EDB base triplets, and atom ids for the adornment engine's memo keys.
   AtomMatchMemo& atoms() { return atoms_; }
 
   // --- memoized combinators ----------------------------------------------
@@ -88,13 +86,10 @@ class TripletStore {
   // The composition step of the bottom-up phase: intersects the unmapped
   // sets and unions the sigmas of two same-IC rule triplets. Returns the
   // interned id of the merge, or kIncompatible when the sigmas conflict.
-  // Memoized on the (a, b) id pair when memos are enabled.
+  // Memoized on the (a, b) id pair.
   int32_t MergeRuleTriplets(RuleTripletId a, RuleTripletId b);
 
-  // --- configuration & stats ---------------------------------------------
-
-  bool memo_enabled() const { return memo_enabled_; }
-  void set_memo_enabled(bool on) { memo_enabled_ = on; }
+  // --- stats -------------------------------------------------------------
 
   struct Stats {
     int64_t intern_hits = 0;    // interned value already present
@@ -154,7 +149,6 @@ class TripletStore {
   std::unordered_map<uint64_t, int32_t> merge_memo_;
 
   AtomMatchMemo atoms_;
-  bool memo_enabled_ = true;
   int64_t intern_hits_ = 0;
   int64_t intern_misses_ = 0;
   int64_t memo_hits_ = 0;

@@ -4,7 +4,6 @@
 #include "src/cq/homomorphism.h"
 #include "src/cq/ic_check.h"
 #include "src/cq/linearize.h"
-#include "src/cq/minimize.h"
 #include "src/parser/parser.h"
 
 namespace sqod {
@@ -153,56 +152,6 @@ TEST(CqEquivalenceTest, RedundantAtom) {
   Rule q1 = Q("q(X) :- e(X, Y), e(X, Z).");
   Rule q2 = Q("q(X) :- e(X, Y).");
   EXPECT_TRUE(CqEquivalent(q1, q2).take());
-}
-
-TEST(MinimizeTest, DropsRedundantAtoms) {
-  Rule q = Q("q(X) :- e(X, Y), e(X, Z).");
-  Rule m = MinimizeCq(q).take();
-  EXPECT_EQ(m.body.size(), 1u);
-  EXPECT_TRUE(CqEquivalent(q, m).take());
-}
-
-TEST(MinimizeTest, CoreIsKept) {
-  Rule q = Q("q(X) :- e(X, Y), e(Y, X).");
-  Rule m = MinimizeCq(q).take();
-  EXPECT_EQ(m.body.size(), 2u);
-}
-
-TEST(MinimizeUcqTest, DropsCoveredDisjuncts) {
-  // The 2-step disjunct is contained in the 1-step one? No — the other way:
-  // a 2-step path instance is covered by "some edge" via containment.
-  Rule general = Q("q(X) :- e(X, Y).");
-  Rule specific = Q("q(X) :- e(X, Y), e(Y, Z).");
-  UnionOfCqs minimized = MinimizeUcq({general, specific}).take();
-  ASSERT_EQ(minimized.size(), 1u);
-  EXPECT_EQ(minimized[0].body.size(), 1u);
-}
-
-TEST(MinimizeUcqTest, KeepsIncomparableDisjuncts) {
-  UnionOfCqs ucq{Q("q(X) :- a(X)."), Q("q(X) :- b(X).")};
-  EXPECT_EQ(MinimizeUcq(ucq).take().size(), 2u);
-}
-
-TEST(MinimizeUcqTest, MinimizesSurvivors) {
-  UnionOfCqs ucq{Q("q(X) :- a(X), e(X, Y), e(X, Z).")};
-  UnionOfCqs minimized = MinimizeUcq(ucq).take();
-  ASSERT_EQ(minimized.size(), 1u);
-  EXPECT_EQ(minimized[0].body.size(), 2u);  // one e atom dropped
-}
-
-TEST(MinimizeUcqTest, OrderDisjunctsViaKlug) {
-  // lo and hi jointly cover the unconstrained disjunct; the unconstrained
-  // one covers each of them, so a single disjunct remains.
-  Rule q = Q("q(X, Y) :- e(X, Y).");
-  Rule lo = Q("q(X, Y) :- e(X, Y), X <= Y.");
-  Rule hi = Q("q(X, Y) :- e(X, Y), X >= Y.");
-  // Greedy in order: lo and hi are each covered by q and dropped first.
-  UnionOfCqs minimized = MinimizeUcq({lo, hi, q}).take();
-  ASSERT_EQ(minimized.size(), 1u);
-  EXPECT_TRUE(minimized[0].comparisons.empty());
-  // The reverse order drops q first (covered by lo + hi jointly — the
-  // union-aware Klug test) and keeps the two halves.
-  EXPECT_EQ(MinimizeUcq({q, lo, hi}).take().size(), 2u);
 }
 
 TEST(IcCheckTest, PlainViolation) {

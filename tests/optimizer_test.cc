@@ -95,7 +95,7 @@ TEST(OptimizerTest, Figure1RewrittenProgram) {
 
 TEST(OptimizerTest, P1ModeSkipsTree) {
   SqoOptions options;
-  options.build_query_tree = false;
+  options.disabled_passes.push_back("tree");
   SqoReport report =
       OptimizeProgram(MakeAbClosureProgram(), {MakeAbIc()}, options).take();
   EXPECT_EQ(report.tree_classes, 0);
@@ -148,6 +148,34 @@ TEST(QuerySatisfiableTest, BasicCases) {
   )").take();
   EXPECT_FALSE(QuerySatisfiable(dead, {MakeAbIc()}).take());
   EXPECT_TRUE(QuerySatisfiable(dead, {}).take());
+}
+
+// Satisfiability is decided on the query tree: with the tree (or the
+// adornments it is built from) disabled there is no answer to give, and
+// claiming "satisfiable" would turn containment checks wrong.
+TEST(QuerySatisfiableTest, DisabledTreeIsFailedPrecondition) {
+  Program dead = ParseProgram(R"(
+    q(X) :- a(X, Y), b(Y, Z).
+    ?- q.
+  )").take();
+  for (const char* pass : {"tree", "adorn"}) {
+    SqoOptions options;
+    options.disabled_passes.push_back(pass);
+    Result<bool> sat = QuerySatisfiable(dead, {MakeAbIc()}, options);
+    ASSERT_FALSE(sat.ok()) << pass;
+    EXPECT_EQ(sat.status().code(), StatusCode::kFailedPrecondition) << pass;
+  }
+  // Disabling passes after the tree does not change the verdict.
+  SqoOptions no_residues;
+  no_residues.disabled_passes = {"residues", "prune"};
+  EXPECT_FALSE(QuerySatisfiable(dead, {MakeAbIc()}, no_residues).take());
+}
+
+TEST(QuerySatisfiableTest, NoQueryPredicateIsFailedPrecondition) {
+  Program p = ParseProgram("tc(X, Y) :- b(X, Y).").take();
+  Result<bool> sat = QuerySatisfiable(p, {MakeAbIc()});
+  ASSERT_FALSE(sat.ok());
+  EXPECT_EQ(sat.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(QuerySatisfiableTest, RecursiveUnsatisfiability) {

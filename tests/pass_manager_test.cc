@@ -82,16 +82,12 @@ TEST(PassManagerTest, DisablingTreeMatchesLegacyFlag) {
   Program p = MakeAbClosureProgram();
   std::vector<Constraint> ics{MakeAbIc()};
 
-  SqoOptions legacy;
-  legacy.build_query_tree = false;
-  SqoReport via_flag = OptimizeProgram(p, ics, legacy).take();
-
   SqoOptions by_name;
   by_name.disabled_passes.push_back("tree");
   SqoReport via_name = PassManager(by_name).Run(p, ics).take();
 
-  EXPECT_EQ(Canon(via_flag.rewritten.ToString()),
-            Canon(via_name.rewritten.ToString()));
+  // Without the tree pass the rewriting is P1 (residue-annotated, pruned).
+  EXPECT_FALSE(via_name.rewritten.rules().empty());
   EXPECT_EQ(via_name.tree_classes, 0);
 
   const PassRunInfo* tree_info = nullptr;
@@ -107,14 +103,19 @@ TEST(PassManagerTest, DisablingResiduesMatchesLegacyFlag) {
   Program p = MakeGoodPathProgram();
   std::vector<Constraint> ics = MakeMonotoneIcs(100);
 
-  SqoOptions legacy;
-  legacy.attach_residues = false;
   SqoOptions by_name;
   by_name.disabled_passes.push_back("residues");
 
-  EXPECT_EQ(
-      Canon(OptimizeProgram(p, ics, legacy).value().rewritten.ToString()),
-      Canon(PassManager(by_name).Run(p, ics).value().rewritten.ToString()));
+  SqoReport via_name = PassManager(by_name).Run(p, ics).take();
+  EXPECT_FALSE(via_name.rewritten.rules().empty());
+  EXPECT_EQ(via_name.residue_rules_deleted, 0);
+  EXPECT_EQ(via_name.residue_comparisons_added, 0);
+  EXPECT_EQ(via_name.residue_negations_added, 0);
+  for (const PassRunInfo& info : via_name.pass_runs) {
+    if (info.name == "residues") {
+      EXPECT_TRUE(info.disabled);
+    }
+  }
 }
 
 TEST(PassManagerTest, DisablingFdRewriteMatchesLegacyFlag) {
@@ -128,18 +129,18 @@ TEST(PassManagerTest, DisablingFdRewriteMatchesLegacyFlag) {
       ParseConstraint(":- e(X, Y1, Z1), e(X, Y2, Z2), Z1 != Z2.").take();
   std::vector<Constraint> ics{fd};
 
-  SqoOptions legacy;
-  legacy.apply_fd_rewriting = false;
   SqoOptions by_name;
   by_name.disabled_passes.push_back("fd_rewrite");
 
   SqoReport with_fd = OptimizeProgram(p, ics).take();
-  SqoReport flag_off = OptimizeProgram(p, ics, legacy).take();
   SqoReport name_off = PassManager(by_name).Run(p, ics).take();
-  EXPECT_EQ(Canon(flag_off.rewritten.ToString()),
-            Canon(name_off.rewritten.ToString()));
   EXPECT_NE(Canon(with_fd.normalized.ToString()),
             Canon(name_off.normalized.ToString()));
+  for (const PassRunInfo& info : name_off.pass_runs) {
+    if (info.name == "fd_rewrite") {
+      EXPECT_TRUE(info.disabled);
+    }
+  }
 }
 
 TEST(PassManagerTest, TreeSkippedWithoutQueryPredicate) {
@@ -185,9 +186,7 @@ TEST(PassManagerTest, UnknownDisabledPassIsInvalidArgument) {
 
 TEST(PassManagerTest, IsDisabledReflectsLegacyFlags) {
   SqoOptions options;
-  options.build_query_tree = false;
-  options.apply_fd_rewriting = false;
-  options.disabled_passes.push_back("prune");
+  options.disabled_passes = {"tree", "fd_rewrite", "prune"};
   PassManager manager(options);
   EXPECT_TRUE(manager.IsDisabled("tree"));
   EXPECT_TRUE(manager.IsDisabled("fd_rewrite"));

@@ -139,8 +139,8 @@ TEST(TripletStoreTest, RuleTripletIdIgnoresProvenance) {
   EXPECT_TRUE(store.rule_triplet(id).sources.empty());
 }
 
-// The merge combinator must produce the same interned result with and
-// without its memo table (the memo only changes cost, never output).
+// The merge combinator interns its result and answers a repeated pair from
+// its memo table.
 TEST(TripletStoreTest, MergeMatchesWithMemoOnAndOff) {
   VarId x = Term::Var("X").var();
   VarId y = Term::Var("Y").var();
@@ -157,22 +157,23 @@ TEST(TripletStoreTest, MergeMatchesWithMemoOnAndOff) {
   clash.unmapped = {1};
   clash.sigma.emplace(x, Term::Var("W"));
 
-  for (bool memo : {true, false}) {
-    TripletStore store;
-    store.set_memo_enabled(memo);
-    RuleTripletId ia = store.InternRuleTriplet(a);
-    RuleTripletId ib = store.InternRuleTriplet(b);
-    RuleTripletId ic = store.InternRuleTriplet(clash);
-    int32_t merged = store.MergeRuleTriplets(ia, ib);
-    ASSERT_GE(merged, 0);
-    const RuleTriplet& m = store.rule_triplet(merged);
-    EXPECT_EQ(m.unmapped, std::vector<int>{1});
-    EXPECT_EQ(m.sigma.size(), 2u);
-    // X is already bound to U in `a`; `clash` rebinds it to W.
-    EXPECT_EQ(store.MergeRuleTriplets(ia, ic), TripletStore::kIncompatible);
-    // Repeating the call gives the same id either way.
-    EXPECT_EQ(store.MergeRuleTriplets(ia, ib), merged);
-  }
+  TripletStore store;
+  RuleTripletId ia = store.InternRuleTriplet(a);
+  RuleTripletId ib = store.InternRuleTriplet(b);
+  RuleTripletId ic = store.InternRuleTriplet(clash);
+  int32_t merged = store.MergeRuleTriplets(ia, ib);
+  ASSERT_GE(merged, 0);
+  const RuleTriplet& m = store.rule_triplet(merged);
+  EXPECT_EQ(m.unmapped, std::vector<int>{1});
+  EXPECT_EQ(m.sigma.size(), 2u);
+  // X is already bound to U in `a`; `clash` rebinds it to W.
+  EXPECT_EQ(store.MergeRuleTriplets(ia, ic), TripletStore::kIncompatible);
+  // Repeating either call gives the same answer, from the memo.
+  const int64_t hits = store.stats().memo_hits;
+  EXPECT_EQ(store.MergeRuleTriplets(ia, ib), merged);
+  EXPECT_EQ(store.stats().memo_hits, hits + 1);
+  EXPECT_EQ(store.MergeRuleTriplets(ia, ic), TripletStore::kIncompatible);
+  EXPECT_EQ(store.stats().memo_hits, hits + 2);
 }
 
 // ComputeMatchDelta + ApplyMatchDelta must agree with MatchInto, which the
