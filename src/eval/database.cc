@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/base/check.h"
+#include "src/eval/sorted_rows.h"
 
 namespace sqod {
 
@@ -94,17 +95,7 @@ std::string Database::ToString() const {
   std::string out;
   for (PredId pred : preds) {
     const Relation& rel = *Find(pred);
-    std::vector<Tuple> rows;
-    rows.reserve(rel.size());
-    for (TupleRef row : rel.rows()) rows.push_back(row.Materialize());
-    std::sort(rows.begin(), rows.end(), [](const Tuple& a, const Tuple& b) {
-      for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-        int c = a[i].Compare(b[i]);
-        if (c != 0) return c < 0;
-      }
-      return a.size() < b.size();
-    });
-    for (const Tuple& row : rows) {
+    for (const Tuple& row : SortedRows(rel)) {
       out += PredName(pred) + "(";
       for (size_t i = 0; i < row.size(); ++i) {
         if (i > 0) out += ", ";

@@ -31,7 +31,10 @@ std::string QuotaMetric(const std::string& tenant) {
 }  // namespace
 
 Server::Server(ServerOptions options)
-    : options_(std::move(options)), service_(options_.service) {}
+    : options_(std::move(options)),
+      service_(options_.service),
+      decode_ns_(metrics().GetHistogram("net/decode_ns")),
+      encode_ns_(metrics().GetHistogram("net/encode_ns")) {}
 
 Server::~Server() { Stop(); }
 
@@ -210,18 +213,18 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
   // Hello-first: nothing else is dispatchable until the tenant is known.
   if (conn->tenant == nullptr) {
     if (msg.type != MsgType::kHello) {
-      conn->out.append(EncodeFrame(EncodeErrorResponse(
+      conn->out.append(ErrorReply(
           msg.id, msg.type,
-          Status::FailedPrecondition("first message must be hello"))));
+          Status::FailedPrecondition("first message must be hello")));
       conn->closing = true;
       metrics.GetCounter("net/protocol_errors")->Increment();
       return true;
     }
     Tenant* tenant = ResolveToken(msg.hello.token);
     if (tenant == nullptr) {
-      conn->out.append(EncodeFrame(EncodeErrorResponse(
+      conn->out.append(ErrorReply(
           msg.id, MsgType::kHello,
-          Status::InvalidArgument("unknown token"))));
+          Status::InvalidArgument("unknown token")));
       conn->closing = true;
       metrics.GetCounter("net/auth_failures")->Increment();
       return true;
@@ -229,14 +232,14 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
     const int version = std::min(msg.hello.max_version, kProtoVersionMax);
     const int floor = std::max(msg.hello.min_version, kProtoVersionMin);
     if (version < floor) {
-      conn->out.append(EncodeFrame(EncodeErrorResponse(
+      conn->out.append(ErrorReply(
           msg.id, MsgType::kHello,
           Status::Unsupported(
               "no common protocol version: server speaks [" +
               std::to_string(kProtoVersionMin) + ", " +
               std::to_string(kProtoVersionMax) + "], client asked [" +
               std::to_string(msg.hello.min_version) + ", " +
-              std::to_string(msg.hello.max_version) + "]"))));
+              std::to_string(msg.hello.max_version) + "]")));
       conn->closing = true;
       return true;
     }
@@ -249,7 +252,8 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
     result.server = options_.server_name;
     result.max_frame_bytes =
         static_cast<int64_t>(options_.max_frame_bytes);
-    conn->out.append(EncodeFrame(EncodeHelloResponse(msg.id, result)));
+    conn->out.append(
+        EncodeReply([&] { return EncodeHelloResponse(msg.id, result); }));
     return true;
   }
 
@@ -262,11 +266,11 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
     if (tenant->config.max_inflight > 0 &&
         tenant->inflight >= tenant->config.max_inflight) {
       metrics.GetCounter(QuotaMetric(tenant_name))->Increment();
-      conn->out.append(EncodeFrame(EncodeErrorResponse(
+      conn->out.append(ErrorReply(
           msg.id, msg.type,
           Status::ResourceExhausted(
               "tenant '" + tenant_name + "' is at its inflight quota (" +
-              std::to_string(tenant->config.max_inflight) + ")"))));
+              std::to_string(tenant->config.max_inflight) + ")")));
       return false;
     }
     ++tenant->inflight;
@@ -276,9 +280,9 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
 
   switch (msg.type) {
     case MsgType::kHello: {
-      conn->out.append(EncodeFrame(EncodeErrorResponse(
+      conn->out.append(ErrorReply(
           msg.id, MsgType::kHello,
-          Status::FailedPrecondition("connection already helloed"))));
+          Status::FailedPrecondition("connection already helloed")));
       conn->closing = true;
       metrics.GetCounter("net/protocol_errors")->Increment();
       return true;
@@ -286,9 +290,9 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
 
     case MsgType::kLoadProgram: {
       if (msg.load.session.empty()) {
-        conn->out.append(EncodeFrame(EncodeErrorResponse(
+        conn->out.append(ErrorReply(
             msg.id, msg.type,
-            Status::InvalidArgument("load_program needs a session name"))));
+            Status::InvalidArgument("load_program needs a session name")));
         return true;
       }
       if (!admit()) return true;
@@ -303,9 +307,10 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
       const uint64_t id = msg.id;
       service_.Submit(std::move(request),
                       [this, conn_id, tenant, id](Response response) {
-                        QueueReply(conn_id, tenant,
-                                   EncodeFrame(EncodeLoadProgramResponse(
-                                       id, response)));
+                        QueueReply(conn_id, tenant, EncodeReply([&] {
+                                     return EncodeLoadProgramResponse(id,
+                                                                      response);
+                                   }));
                       });
       return true;
     }
@@ -316,10 +321,10 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
       if (!msg.query.session.empty()) {
         auto it = tenant->sessions.find(msg.query.session);
         if (it == tenant->sessions.end()) {
-          conn->out.append(EncodeFrame(EncodeErrorResponse(
+          conn->out.append(ErrorReply(
               msg.id, msg.type,
               Status::FailedPrecondition("unknown session '" +
-                                         msg.query.session + "'"))));
+                                         msg.query.session + "'")));
           return true;
         }
         source = it->second;
@@ -343,9 +348,10 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
       const MsgType type = msg.type;
       service_.Submit(std::move(request),
                       [this, conn_id, tenant, id, type](Response response) {
-                        QueueReply(conn_id, tenant,
-                                   EncodeFrame(EncodeQueryResponse(
-                                       id, type, response)));
+                        QueueReply(conn_id, tenant, EncodeReply([&] {
+                                     return EncodeQueryResponse(id, type,
+                                                                response);
+                                   }));
                       });
       return true;
     }
@@ -353,10 +359,10 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
     case MsgType::kApplyDelta: {
       auto it = tenant->sessions.find(msg.delta.session);
       if (it == tenant->sessions.end()) {
-        conn->out.append(EncodeFrame(EncodeErrorResponse(
+        conn->out.append(ErrorReply(
             msg.id, msg.type,
             Status::FailedPrecondition("unknown session '" +
-                                       msg.delta.session + "'"))));
+                                       msg.delta.session + "'")));
         return true;
       }
       FactDelta delta;
@@ -377,8 +383,7 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
         if (!parse.ok()) break;
       }
       if (!parse.ok()) {
-        conn->out.append(EncodeFrame(
-            EncodeErrorResponse(msg.id, msg.type, parse)));
+        conn->out.append(ErrorReply(msg.id, msg.type, parse));
         return true;
       }
       if (!admit()) return true;
@@ -392,8 +397,9 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
       service_.ApplyDelta(
           std::move(request),
           [this, conn_id, tenant, id](DeltaResponse response) {
-            QueueReply(conn_id, tenant,
-                       EncodeFrame(EncodeApplyDeltaResponse(id, response)));
+            QueueReply(conn_id, tenant, EncodeReply([&] {
+                         return EncodeApplyDeltaResponse(id, response);
+                       }));
           });
       return true;
     }
@@ -401,13 +407,15 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
     case MsgType::kMetrics: {
       // Answered inline: the registry snapshot is thread-safe and cheap,
       // and metrics must stay readable even when the queue is full.
-      conn->out.append(EncodeFrame(EncodeMetricsResponse(
-          msg.id, ExportMetricsJson(metrics))));
+      const std::string exported = ExportMetricsJson(metrics);
+      conn->out.append(EncodeReply(
+          [&] { return EncodeMetricsResponse(msg.id, exported); }));
       return true;
     }
 
     case MsgType::kClose: {
-      conn->out.append(EncodeFrame(EncodeCloseResponse(msg.id)));
+      conn->out.append(
+          EncodeReply([&] { return EncodeCloseResponse(msg.id); }));
       conn->closing = true;
       return true;
     }
@@ -437,18 +445,18 @@ bool Server::HandleReadable(Connection* conn) {
       // Malformed or oversize frame: the stream cannot be resynced. Tell
       // the client why (best effort) and close.
       metrics().GetCounter("net/protocol_errors")->Increment();
-      conn->out.append(EncodeFrame(
-          EncodeErrorResponse(0, MsgType::kClose, next.status())));
+      conn->out.append(ErrorReply(0, MsgType::kClose, next.status()));
       conn->closing = true;
       return true;  // lingers to flush the error, then closes
     }
     if (!next.value()) break;
     metrics().GetCounter("net/frames_in")->Increment();
+    const int64_t decode_start = NowNs();
     Result<ClientMessage> msg = DecodeClientMessage(payload);
+    decode_ns_->Record(NowNs() - decode_start);
     if (!msg.ok()) {
       metrics().GetCounter("net/protocol_errors")->Increment();
-      conn->out.append(EncodeFrame(
-          EncodeErrorResponse(0, MsgType::kClose, msg.status())));
+      conn->out.append(ErrorReply(0, MsgType::kClose, msg.status()));
       conn->closing = true;
       break;
     }

@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "src/net/socket.h"
+#include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/proto/proto.h"
 #include "src/service/query_service.h"
 
@@ -149,6 +151,18 @@ class Server {
   // conn->out. Returns false to close the connection.
   bool HandleMessage(Connection* conn, const ClientMessage& msg);
   void QueueReply(uint64_t conn_id, Tenant* tenant, std::string frame);
+  // Runs one reply encoder and frames its payload; the time lands in
+  // net/encode_ns. Called from the poll thread and from worker threads.
+  template <typename Encode>
+  std::string EncodeReply(Encode&& encode) {
+    const int64_t start = NowNs();
+    std::string frame = EncodeFrame(encode());
+    encode_ns_->Record(NowNs() - start);
+    return frame;
+  }
+  std::string ErrorReply(uint64_t id, MsgType type, const Status& status) {
+    return EncodeReply([&] { return EncodeErrorResponse(id, type, status); });
+  }
   void WakePoll(char byte);
   void CloseConnection(uint64_t conn_id);
   void FlushDrainLog();
@@ -156,6 +170,8 @@ class Server {
 
   ServerOptions options_;
   QueryService service_;
+  Histogram* decode_ns_;  // net/decode_ns: DecodeClientMessage per frame
+  Histogram* encode_ns_;  // net/encode_ns: reply encode + framing
 
   UniqueFd listener_;
   UniqueFd wake_read_;

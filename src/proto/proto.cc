@@ -1,8 +1,12 @@
 #include "src/proto/proto.h"
 
+#include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <tuple>
 
 #include "src/obs/context.h"
 
@@ -26,54 +30,6 @@ void AppendKey(std::string_view key, std::string* out) {
 
 void AppendBool(bool b, std::string* out) {
   out->append(b ? "true" : "false");
-}
-
-// ---- decode helpers: every accessor yields kInvalidArgument with the
-// field name, so protocol errors point at the offending key.
-
-Status MissingField(std::string_view key) {
-  return Status::InvalidArgument("missing or mis-typed field '" +
-                                 std::string(key) + "'");
-}
-
-Result<const JsonValue*> GetMember(const JsonValue& obj,
-                                   const std::string& key) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return MissingField(key);
-  return v;
-}
-
-Result<std::string> GetString(const JsonValue& obj, const std::string& key) {
-  SQOD_ASSIGN_OR_RETURN(const JsonValue* v, GetMember(obj, key));
-  if (!v->is_string()) return MissingField(key);
-  return v->string;
-}
-
-std::string GetStringOr(const JsonValue& obj, const std::string& key,
-                        std::string fallback) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->is_string() ? v->string : std::move(fallback);
-}
-
-Result<int64_t> GetInt64(const JsonValue& obj, const std::string& key) {
-  SQOD_ASSIGN_OR_RETURN(const JsonValue* v, GetMember(obj, key));
-  Result<int64_t> parsed = WireInt64(*v);
-  if (!parsed.ok()) return MissingField(key);
-  return parsed;
-}
-
-int64_t GetInt64Or(const JsonValue& obj, const std::string& key,
-                   int64_t fallback) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr) return fallback;
-  Result<int64_t> parsed = WireInt64(*v);
-  return parsed.ok() ? parsed.value() : fallback;
-}
-
-bool GetBoolOr(const JsonValue& obj, const std::string& key, bool fallback) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kBool ? v->boolean
-                                                           : fallback;
 }
 
 // ---- spans: serialized so remote callers see the same per-request span
@@ -112,31 +68,6 @@ void AppendSpans(const std::vector<SpanRecord>& spans, std::string* out) {
   out->push_back(']');
 }
 
-std::vector<SpanRecord> DecodeSpans(const JsonValue& payload) {
-  std::vector<SpanRecord> spans;
-  const JsonValue* arr = payload.Find("spans");
-  if (arr == nullptr || !arr->is_array()) return spans;
-  spans.reserve(arr->array.size());
-  for (const JsonValue& item : arr->array) {
-    if (!item.is_object()) continue;
-    SpanRecord span;
-    span.id = static_cast<int>(GetInt64Or(item, "id", -1));
-    span.parent_id = static_cast<int>(GetInt64Or(item, "parent", -1));
-    span.name = GetStringOr(item, "name", "");
-    span.start_ns = GetInt64Or(item, "start_ns", 0);
-    span.duration_ns = GetInt64Or(item, "dur_ns", 0);
-    const JsonValue* attrs = item.Find("attrs");
-    if (attrs != nullptr && attrs->is_object()) {
-      for (const auto& [key, value] : attrs->object) {
-        Result<int64_t> parsed = WireInt64(value);
-        if (parsed.ok()) span.attrs.emplace_back(key, parsed.value());
-      }
-    }
-    spans.push_back(std::move(span));
-  }
-  return spans;
-}
-
 void AppendEvalStats(const EvalStats& stats, std::string* out) {
   AppendKey("stats", out);
   out->push_back('{');
@@ -158,19 +89,6 @@ void AppendEvalStats(const EvalStats& stats, std::string* out) {
   AppendKey("comparison_checks", out);
   AppendWireInt64(stats.comparison_checks, out);
   out->push_back('}');
-}
-
-EvalStats DecodeEvalStats(const JsonValue& payload) {
-  EvalStats stats;
-  const JsonValue* obj = payload.Find("stats");
-  if (obj == nullptr || !obj->is_object()) return stats;
-  stats.iterations = GetInt64Or(*obj, "iterations", 0);
-  stats.rule_firings = GetInt64Or(*obj, "rule_firings", 0);
-  stats.tuples_derived = GetInt64Or(*obj, "tuples_derived", 0);
-  stats.duplicate_derivations = GetInt64Or(*obj, "duplicate_derivations", 0);
-  stats.join_probes = GetInt64Or(*obj, "join_probes", 0);
-  stats.comparison_checks = GetInt64Or(*obj, "comparison_checks", 0);
-  return stats;
 }
 
 void AppendMaintainStats(const MaintainStats& stats, std::string* out) {
@@ -217,29 +135,6 @@ void AppendMaintainStats(const MaintainStats& stats, std::string* out) {
   out->push_back('}');
 }
 
-MaintainStats DecodeMaintainStats(const JsonValue& payload) {
-  MaintainStats stats;
-  const JsonValue* obj = payload.Find("stats");
-  if (obj == nullptr || !obj->is_object()) return stats;
-  stats.version = GetInt64Or(*obj, "version", 0);
-  stats.recomputed = GetBoolOr(*obj, "recomputed", false);
-  stats.edb_inserted = GetInt64Or(*obj, "edb_inserted", 0);
-  stats.edb_deleted = GetInt64Or(*obj, "edb_deleted", 0);
-  stats.idb_inserted = GetInt64Or(*obj, "idb_inserted", 0);
-  stats.idb_deleted = GetInt64Or(*obj, "idb_deleted", 0);
-  stats.over_deleted = GetInt64Or(*obj, "over_deleted", 0);
-  stats.rederived = GetInt64Or(*obj, "rederived", 0);
-  stats.count_updates = GetInt64Or(*obj, "count_updates", 0);
-  stats.strata_incremental =
-      static_cast<int>(GetInt64Or(*obj, "strata_incremental", 0));
-  stats.strata_recomputed =
-      static_cast<int>(GetInt64Or(*obj, "strata_recomputed", 0));
-  stats.strata_skipped =
-      static_cast<int>(GetInt64Or(*obj, "strata_skipped", 0));
-  stats.maintain_ns = GetInt64Or(*obj, "maintain_ns", 0);
-  return stats;
-}
-
 // Envelope opener: {"type":"<t>","id":N  — callers append the rest.
 std::string OpenEnvelope(MsgType type, uint64_t id) {
   std::string out = "{\"type\":\"";
@@ -258,15 +153,6 @@ void AppendStatus(const Status& status, std::string* out) {
     AppendKey("error", out);
     AppendQuoted(status.message(), out);
   }
-}
-
-Status DecodeStatus(const JsonValue& payload) {
-  Result<std::string> code_name = GetString(payload, "code");
-  if (!code_name.ok()) return code_name.status();
-  Result<StatusCode> code = StatusCodeFromName(code_name.value());
-  if (!code.ok()) return code.status();
-  if (code.value() == StatusCode::kOk) return Status::Ok();
-  return Status::Error(code.value(), GetStringOr(payload, "error", ""));
 }
 
 }  // namespace
@@ -332,26 +218,44 @@ void AppendWireInt64(int64_t value, std::string* out) {
   }
 }
 
+namespace {
+
+// WireInt64's rule for a JSON number: integral, and inside int64 (casting
+// anything wider to int64 is undefined).
+Status IntegralDouble(double d, int64_t* out) {
+  if (std::nearbyint(d) != d) {
+    return Status::InvalidArgument("expected an integer, got " +
+                                   std::to_string(d));
+  }
+  if (!(d >= -0x1p63 && d < 0x1p63)) {
+    return Status::InvalidArgument("integer out of int64 range: " +
+                                   std::to_string(d));
+  }
+  *out = static_cast<int64_t>(d);
+  return Status::Ok();
+}
+
+// WireInt64's rule for a JSON string: all of it one strtoll decimal.
+Status DecimalInt64(const std::string& s, int64_t* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(s.c_str(), &end, 10);
+  if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE) {
+    return Status::InvalidArgument("not a decimal int64: '" + s + "'");
+  }
+  *out = static_cast<int64_t>(parsed);
+  return Status::Ok();
+}
+
+}  // namespace
+
 Result<int64_t> WireInt64(const JsonValue& value) {
-  if (value.is_number()) {
-    const double d = value.number;
-    if (std::nearbyint(d) != d) {
-      return Status::InvalidArgument("expected an integer, got " +
-                                     std::to_string(d));
-    }
-    return static_cast<int64_t>(d);
-  }
-  if (value.is_string()) {
-    const std::string& s = value.string;
-    char* end = nullptr;
-    errno = 0;
-    const long long parsed = std::strtoll(s.c_str(), &end, 10);
-    if (s.empty() || end != s.c_str() + s.size() || errno == ERANGE) {
-      return Status::InvalidArgument("not a decimal int64: '" + s + "'");
-    }
-    return static_cast<int64_t>(parsed);
-  }
-  return Status::InvalidArgument("expected an integer");
+  int64_t out = 0;
+  Status status = Status::InvalidArgument("expected an integer");
+  if (value.is_number()) status = IntegralDouble(value.number, &out);
+  if (value.is_string()) status = DecimalInt64(value.string, &out);
+  if (!status.ok()) return status;
+  return out;
 }
 
 void AppendWireValue(const Value& value, std::string* out) {
@@ -662,77 +566,491 @@ std::string EncodeErrorResponse(uint64_t id, MsgType type,
 }
 
 // -------------------------------------------------------------- decode side
+//
+// Both decoders walk the payload once with JsonReader; no DOM is built
+// except for the metrics reply body. The field rules (docs/protocol.md):
+// members come in any order, the first occurrence of a duplicated key wins
+// (later ones are syntax-checked and dropped), unknown members are
+// syntax-checked and skipped, and an optional member of the wrong type
+// keeps its default. Semantic errors are reported only after the whole
+// payload parsed, in a fixed order (type, id, then the fields of that
+// type), so a syntax error anywhere takes precedence.
+
+namespace {
+
+using Kind = JsonReader::Kind;
+
+Status MissingField(std::string_view key) {
+  return Status::InvalidArgument("missing or mis-typed field '" +
+                                 std::string(key) + "'");
+}
+
+// The index of `key` in `names`, or -1 when it is unknown or was seen
+// before in this object (the first occurrence wins).
+template <size_t N>
+int FieldIndex(std::string_view key, const std::string_view (&names)[N],
+               uint64_t* seen) {
+  static_assert(N <= 64);
+  for (size_t i = 0; i < N; ++i) {
+    if (key != names[i]) continue;
+    const uint64_t bit = uint64_t{1} << i;
+    if (*seen & bit) return -1;
+    *seen |= bit;
+    return static_cast<int>(i);
+  }
+  return -1;
+}
+
+// Reads the next value under WireInt64's rule. Returns false only when the
+// payload is malformed; otherwise *error says whether *out is a wire int.
+bool ReadWireInt64(JsonReader* r, int64_t* out, Status* error) {
+  Kind kind;
+  if (!r->Peek(&kind)) return false;
+  if (kind == Kind::kNumber) {
+    JsonNumber number;
+    if (!r->ReadNumber(&number)) return false;
+    if (number.is_small_int) {
+      *out = number.integer;
+      *error = Status::Ok();
+    } else {
+      *error = IntegralDouble(number.ToDouble(), out);
+    }
+    return true;
+  }
+  if (kind == Kind::kString) {
+    std::string_view text;
+    if (!r->ReadStringView(&text)) return false;
+    *error = DecimalInt64(std::string(text), out);
+    return true;
+  }
+  *error = Status::InvalidArgument("expected an integer");
+  return r->SkipValue();
+}
+
+// ReadTyped reads the next value into *out when it has *out's wire type (a
+// string, a bool, a wire int) and returns true; any other value is skipped
+// and leaves *out alone.
+bool ReadTyped(JsonReader* r, std::string* out) {
+  Kind kind;
+  if (!r->Peek(&kind)) return false;
+  if (kind != Kind::kString) {
+    r->SkipValue();
+    return false;
+  }
+  return r->ReadString(out);
+}
+
+bool ReadTyped(JsonReader* r, bool* out) {
+  Kind kind;
+  if (!r->Peek(&kind)) return false;
+  if (kind != Kind::kBool) {
+    r->SkipValue();
+    return false;
+  }
+  return r->ReadBool(out);
+}
+
+bool ReadTyped(JsonReader* r, int64_t* out) {
+  int64_t value = 0;
+  Status error;
+  if (!ReadWireInt64(r, &value, &error) || !error.ok()) return false;
+  *out = value;
+  return true;
+}
+
+template <typename T>
+void ReadTyped(JsonReader* r, std::optional<T>* out) {
+  T value{};
+  if (ReadTyped(r, &value)) *out = std::move(value);
+}
+
+// A member holding a list of strings (disabled_passes, inserts, deletes).
+struct StringList {
+  enum State { kAbsent, kOk, kNotArray, kBadItem } state = kAbsent;
+  std::vector<std::string> items;
+};
+
+void ReadStringList(JsonReader* r, StringList* out) {
+  Kind kind;
+  if (!r->Peek(&kind)) return;
+  if (kind != Kind::kArray) {
+    out->state = StringList::kNotArray;
+    r->SkipValue();
+    return;
+  }
+  out->state = StringList::kOk;
+  r->EnterArray();
+  while (r->NextElement()) {
+    std::string item;
+    if (!ReadTyped(r, &item)) {
+      out->state = StringList::kBadItem;
+    } else if (out->state == StringList::kOk) {
+      out->items.push_back(std::move(item));
+    }
+  }
+}
+
+// Reads one answer cell under WireValue's rule. Returns false only when the
+// payload is malformed; a well-formed cell that is no wire value sets
+// *error.
+bool ReadWireValue(JsonReader* r, Value* out, Status* error) {
+  Kind kind;
+  if (!r->Peek(&kind)) return false;
+  switch (kind) {
+    case Kind::kNumber: {
+      JsonNumber number;
+      if (!r->ReadNumber(&number)) return false;
+      if (number.is_small_int) {
+        *out = Value::Int(number.integer);
+        return true;
+      }
+      int64_t v = 0;
+      *error = IntegralDouble(number.ToDouble(), &v);
+      *out = Value::Int(v);
+      return true;
+    }
+    case Kind::kString: {
+      std::string_view name;
+      if (!r->ReadStringView(&name)) return false;
+      *out = Value::Symbol(name);
+      return true;
+    }
+    case Kind::kObject: {
+      // {"i": <wire int>}, the form of ints outside the exact-double range;
+      // other members are ignored.
+      bool found = false;
+      int64_t v = 0;
+      Status int_error;
+      std::string_view key;
+      r->EnterObject();
+      while (r->NextMember(&key)) {
+        if (key == "i" && !found) {
+          found = true;
+          if (!ReadWireInt64(r, &v, &int_error)) return false;
+        } else if (!r->SkipValue()) {
+          return false;
+        }
+      }
+      if (!r->ok()) return false;
+      if (!found) {
+        *error = Status::InvalidArgument("malformed value in answer tuple");
+      } else if (!int_error.ok()) {
+        *error = std::move(int_error);
+      } else {
+        *out = Value::Int(v);
+      }
+      return true;
+    }
+    default:
+      *error = Status::InvalidArgument("malformed value in answer tuple");
+      return r->SkipValue();
+  }
+}
+
+// The answers member: rows decode straight into tuples. A non-array is
+// ignored; the first malformed row or cell lands in *error, and the rest is
+// only syntax-checked.
+void ReadAnswers(JsonReader* r, std::vector<Tuple>* out, Status* error) {
+  Kind kind;
+  if (!r->Peek(&kind)) return;
+  if (kind != Kind::kArray) {
+    r->SkipValue();
+    return;
+  }
+  size_t arity = 0;
+  r->EnterArray();
+  while (r->NextElement()) {
+    if (!error->ok()) {
+      r->SkipValue();
+      continue;
+    }
+    if (!r->Peek(&kind)) return;
+    if (kind != Kind::kArray) {
+      *error = Status::InvalidArgument("answer row is not an array");
+      r->SkipValue();
+      continue;
+    }
+    Tuple tuple;
+    tuple.reserve(arity);
+    r->EnterArray();
+    while (r->NextElement()) {
+      Value value;
+      if (!error->ok()) {
+        r->SkipValue();
+      } else if (ReadWireValue(r, &value, error)) {
+        tuple.push_back(value);
+      }
+    }
+    arity = tuple.size();
+    out->push_back(std::move(tuple));
+  }
+}
+
+// Span attributes, sorted by key as a parsed JsonValue object holds them:
+// the first of duplicated keys wins, and entries that are no wire int are
+// dropped.
+void ReadSpanAttrs(JsonReader* r,
+                   std::vector<std::pair<std::string, int64_t>>* attrs) {
+  Kind kind;
+  if (!r->Peek(&kind)) return;
+  if (kind != Kind::kObject) {
+    r->SkipValue();
+    return;
+  }
+  std::vector<std::pair<std::string, std::optional<int64_t>>> entries;
+  std::string_view key;
+  r->EnterObject();
+  while (r->NextMember(&key)) {
+    entries.emplace_back(std::string(key), std::nullopt);
+    ReadTyped(r, &entries.back().second);
+  }
+  std::stable_sort(
+      entries.begin(), entries.end(),
+      [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t i = 0; i < entries.size();) {
+    size_t run = i + 1;
+    while (run < entries.size() && entries[run].first == entries[i].first) {
+      ++run;
+    }
+    if (entries[i].second) {
+      attrs->emplace_back(std::move(entries[i].first), *entries[i].second);
+    }
+    i = run;
+  }
+}
+
+enum SpanField { kSpanId, kSpanParent, kSpanName, kSpanStart, kSpanDur,
+                 kSpanAttrs };
+constexpr std::string_view kSpanFields[] = {"id",       "parent", "name",
+                                            "start_ns", "dur_ns", "attrs"};
+
+// The spans member; entries that are not objects are skipped.
+void ReadSpans(JsonReader* r, std::vector<SpanRecord>* spans) {
+  Kind kind;
+  if (!r->Peek(&kind)) return;
+  if (kind != Kind::kArray) {
+    r->SkipValue();
+    return;
+  }
+  r->EnterArray();
+  while (r->NextElement()) {
+    if (!r->Peek(&kind)) return;
+    if (kind != Kind::kObject) {
+      r->SkipValue();
+      continue;
+    }
+    SpanRecord span;
+    uint64_t seen = 0;
+    int64_t v = 0;
+    std::string_view key;
+    r->EnterObject();
+    while (r->NextMember(&key)) {
+      switch (FieldIndex(key, kSpanFields, &seen)) {
+        case kSpanId:
+          if (ReadTyped(r, &v)) span.id = static_cast<int>(v);
+          break;
+        case kSpanParent:
+          if (ReadTyped(r, &v)) span.parent_id = static_cast<int>(v);
+          break;
+        case kSpanName: ReadTyped(r, &span.name); break;
+        case kSpanStart: ReadTyped(r, &span.start_ns); break;
+        case kSpanDur: ReadTyped(r, &span.duration_ns); break;
+        case kSpanAttrs: ReadSpanAttrs(r, &span.attrs); break;
+        default: r->SkipValue(); break;
+      }
+    }
+    spans->push_back(std::move(span));
+  }
+}
+
+// The stats member: EvalStats keys (query replies) and MaintainStats keys
+// (delta replies) are disjoint, so one pass fills both and the message
+// type, which may come later, picks one.
+enum StatsField {
+  kIterations, kRuleFirings, kTuplesDerived, kDuplicateDerivations,
+  kJoinProbes, kComparisonChecks, kVersion, kRecomputed, kEdbInserted,
+  kEdbDeleted, kIdbInserted, kIdbDeleted, kOverDeleted, kRederived,
+  kCountUpdates, kStrataIncremental, kStrataRecomputed, kStrataSkipped,
+  kMaintainNs
+};
+constexpr std::string_view kStatsFields[] = {
+    "iterations",         "rule_firings",      "tuples_derived",
+    "duplicate_derivations", "join_probes",    "comparison_checks",
+    "version",            "recomputed",        "edb_inserted",
+    "edb_deleted",        "idb_inserted",      "idb_deleted",
+    "over_deleted",       "rederived",         "count_updates",
+    "strata_incremental", "strata_recomputed", "strata_skipped",
+    "maintain_ns"};
+
+void ReadStats(JsonReader* r, EvalStats* eval, MaintainStats* maintain) {
+  Kind kind;
+  if (!r->Peek(&kind)) return;
+  if (kind != Kind::kObject) {
+    r->SkipValue();
+    return;
+  }
+  uint64_t seen = 0;
+  int64_t v = 0;
+  std::string_view key;
+  r->EnterObject();
+  while (r->NextMember(&key)) {
+    switch (FieldIndex(key, kStatsFields, &seen)) {
+      case kIterations: ReadTyped(r, &eval->iterations); break;
+      case kRuleFirings: ReadTyped(r, &eval->rule_firings); break;
+      case kTuplesDerived: ReadTyped(r, &eval->tuples_derived); break;
+      case kDuplicateDerivations:
+        ReadTyped(r, &eval->duplicate_derivations);
+        break;
+      case kJoinProbes: ReadTyped(r, &eval->join_probes); break;
+      case kComparisonChecks: ReadTyped(r, &eval->comparison_checks); break;
+      case kVersion: ReadTyped(r, &maintain->version); break;
+      case kRecomputed: ReadTyped(r, &maintain->recomputed); break;
+      case kEdbInserted: ReadTyped(r, &maintain->edb_inserted); break;
+      case kEdbDeleted: ReadTyped(r, &maintain->edb_deleted); break;
+      case kIdbInserted: ReadTyped(r, &maintain->idb_inserted); break;
+      case kIdbDeleted: ReadTyped(r, &maintain->idb_deleted); break;
+      case kOverDeleted: ReadTyped(r, &maintain->over_deleted); break;
+      case kRederived: ReadTyped(r, &maintain->rederived); break;
+      case kCountUpdates: ReadTyped(r, &maintain->count_updates); break;
+      case kStrataIncremental:
+        if (ReadTyped(r, &v)) {
+          maintain->strata_incremental = static_cast<int>(v);
+        }
+        break;
+      case kStrataRecomputed:
+        if (ReadTyped(r, &v)) {
+          maintain->strata_recomputed = static_cast<int>(v);
+        }
+        break;
+      case kStrataSkipped:
+        if (ReadTyped(r, &v)) {
+          maintain->strata_skipped = static_cast<int>(v);
+        }
+        break;
+      case kMaintainNs: ReadTyped(r, &maintain->maintain_ns); break;
+      default: r->SkipValue(); break;
+    }
+  }
+}
+
+// Opens the payload's root object. Returns false with *status set when the
+// payload is malformed or not an object (`what` names the payload).
+bool EnterRoot(JsonReader* r, const char* what, Status* status) {
+  Kind kind;
+  if (r->Peek(&kind) && kind == Kind::kObject) return r->EnterObject();
+  if (r->SkipValue() && r->Finish()) {
+    *status = Status::InvalidArgument(std::string(what) +
+                                      " payload is not a JSON object");
+  } else {
+    *status = r->status();
+  }
+  return false;
+}
+
+enum ClientField {
+  kCType, kCId, kCToken, kCMinVersion, kCMaxVersion, kCSession, kCSource,
+  kCDeadlineMs, kCMaterialized, kCTrace, kCExplain, kCDisabledPasses,
+  kCInserts, kCDeletes
+};
+constexpr std::string_view kClientFields[] = {
+    "type",       "id",      "token",           "min_version", "max_version",
+    "session",    "source",  "deadline_ms",     "materialized", "trace",
+    "explain",    "disabled_passes", "inserts", "deletes"};
+
+}  // namespace
 
 Result<ClientMessage> DecodeClientMessage(std::string_view payload) {
-  SQOD_ASSIGN_OR_RETURN(JsonValue root, ParseJson(payload));
-  if (!root.is_object()) {
-    return Status::InvalidArgument("request payload is not a JSON object");
+  JsonReader r(payload);
+  Status root_status;
+  if (!EnterRoot(&r, "request", &root_status)) return root_status;
+
+  std::optional<std::string> type, token, session, source;
+  std::optional<int64_t> id, min_version, max_version, deadline_ms;
+  std::optional<bool> materialized, trace, explain;
+  StringList disabled_passes, inserts, deletes;
+  uint64_t seen = 0;
+  std::string_view key;
+  while (r.NextMember(&key)) {
+    switch (FieldIndex(key, kClientFields, &seen)) {
+      case kCType: ReadTyped(&r, &type); break;
+      case kCId: ReadTyped(&r, &id); break;
+      case kCToken: ReadTyped(&r, &token); break;
+      case kCMinVersion: ReadTyped(&r, &min_version); break;
+      case kCMaxVersion: ReadTyped(&r, &max_version); break;
+      case kCSession: ReadTyped(&r, &session); break;
+      case kCSource: ReadTyped(&r, &source); break;
+      case kCDeadlineMs: ReadTyped(&r, &deadline_ms); break;
+      case kCMaterialized: ReadTyped(&r, &materialized); break;
+      case kCTrace: ReadTyped(&r, &trace); break;
+      case kCExplain: ReadTyped(&r, &explain); break;
+      case kCDisabledPasses: ReadStringList(&r, &disabled_passes); break;
+      case kCInserts: ReadStringList(&r, &inserts); break;
+      case kCDeletes: ReadStringList(&r, &deletes); break;
+      default: r.SkipValue(); break;
+    }
   }
+  if (!r.Finish()) return r.status();
+
   ClientMessage msg;
-  SQOD_ASSIGN_OR_RETURN(std::string type_name, GetString(root, "type"));
-  SQOD_ASSIGN_OR_RETURN(msg.type, MsgTypeFromName(type_name));
-  SQOD_ASSIGN_OR_RETURN(int64_t id, GetInt64(root, "id"));
-  msg.id = static_cast<uint64_t>(id);
+  if (!type) return MissingField("type");
+  SQOD_ASSIGN_OR_RETURN(msg.type, MsgTypeFromName(*type));
+  if (!id) return MissingField("id");
+  msg.id = static_cast<uint64_t>(*id);
 
   switch (msg.type) {
     case MsgType::kHello: {
-      msg.hello.token = GetStringOr(root, "token", "");
-      msg.hello.min_version = static_cast<int>(
-          GetInt64Or(root, "min_version", kProtoVersionMin));
-      msg.hello.max_version = static_cast<int>(
-          GetInt64Or(root, "max_version", msg.hello.min_version));
+      msg.hello.token = token.value_or("");
+      msg.hello.min_version =
+          static_cast<int>(min_version.value_or(kProtoVersionMin));
+      msg.hello.max_version =
+          static_cast<int>(max_version.value_or(msg.hello.min_version));
       break;
     }
     case MsgType::kLoadProgram: {
-      SQOD_ASSIGN_OR_RETURN(msg.load.session, GetString(root, "session"));
-      SQOD_ASSIGN_OR_RETURN(msg.load.source, GetString(root, "source"));
+      if (!session) return MissingField("session");
+      if (!source) return MissingField("source");
+      msg.load.session = std::move(*session);
+      msg.load.source = std::move(*source);
       break;
     }
     case MsgType::kQuery: {
-      msg.query.session = GetStringOr(root, "session", "");
-      msg.query.source = GetStringOr(root, "source", "");
+      msg.query.session = session.value_or("");
+      msg.query.source = source.value_or("");
       if (msg.query.session.empty() == msg.query.source.empty()) {
         return Status::InvalidArgument(
             "query needs exactly one of 'session' or 'source'");
       }
-      msg.query.deadline_ms = GetInt64Or(root, "deadline_ms", -1);
-      msg.query.materialized = GetBoolOr(root, "materialized", false);
-      msg.query.trace = GetBoolOr(root, "trace", false);
-      msg.query.explain = GetBoolOr(root, "explain", false);
-      const JsonValue* passes = root.Find("disabled_passes");
-      if (passes != nullptr) {
-        if (!passes->is_array()) return MissingField("disabled_passes");
-        for (const JsonValue& item : passes->array) {
-          if (!item.is_string()) return MissingField("disabled_passes");
-          msg.query.disabled_passes.push_back(item.string);
-        }
+      msg.query.deadline_ms = deadline_ms.value_or(-1);
+      msg.query.materialized = materialized.value_or(false);
+      msg.query.trace = trace.value_or(false);
+      msg.query.explain = explain.value_or(false);
+      if (disabled_passes.state != StringList::kAbsent &&
+          disabled_passes.state != StringList::kOk) {
+        return MissingField("disabled_passes");
       }
+      msg.query.disabled_passes = std::move(disabled_passes.items);
       break;
     }
     case MsgType::kExplain: {
-      SQOD_ASSIGN_OR_RETURN(msg.query.session, GetString(root, "session"));
+      if (!session) return MissingField("session");
+      msg.query.session = std::move(*session);
       msg.query.explain = true;
       break;
     }
     case MsgType::kApplyDelta: {
-      SQOD_ASSIGN_OR_RETURN(msg.delta.session, GetString(root, "session"));
-      for (const auto& [key, into] :
-           {std::pair<const char*, std::vector<std::string>*>(
-                "inserts", &msg.delta.inserts),
-            std::pair<const char*, std::vector<std::string>*>(
-                "deletes", &msg.delta.deletes)}) {
-        const JsonValue* arr = root.Find(key);
-        if (arr == nullptr) continue;
-        if (!arr->is_array()) return MissingField(key);
-        for (const JsonValue& item : arr->array) {
-          if (!item.is_string()) {
-            return Status::InvalidArgument(
-                std::string(key) + " entries must be fact strings");
-          }
-          into->push_back(item.string);
+      if (!session) return MissingField("session");
+      msg.delta.session = std::move(*session);
+      for (auto [key_name, list, into] :
+           {std::make_tuple("inserts", &inserts, &msg.delta.inserts),
+            std::make_tuple("deletes", &deletes, &msg.delta.deletes)}) {
+        if (list->state == StringList::kNotArray) return MissingField(key_name);
+        if (list->state == StringList::kBadItem) {
+          return Status::InvalidArgument(std::string(key_name) +
+                                         " entries must be fact strings");
         }
+        *into = std::move(list->items);
       }
-      msg.delta.trace = GetBoolOr(root, "trace", false);
+      msg.delta.trace = trace.value_or(false);
       break;
     }
     case MsgType::kMetrics:
@@ -742,80 +1060,142 @@ Result<ClientMessage> DecodeClientMessage(std::string_view payload) {
   return msg;
 }
 
+namespace {
+
+enum ServerField {
+  kSType, kSId, kSCode, kSError, kSVersion, kSTenant, kSServer,
+  kSMaxFrameBytes, kSTraceId, kSAnswers, kSStats, kSSnapshotVersion,
+  kSServedFromView, kSOptimized, kSPrepareCacheHit, kSPassesRan,
+  kSQueueWaitNs, kSPrepareNs, kSExecuteNs, kSMaterializeNs, kSMaintainNs,
+  kSSpans, kSExplain, kSMetrics
+};
+constexpr std::string_view kServerFields[] = {
+    "type",          "id",           "code",          "error",
+    "version",       "tenant",       "server",        "max_frame_bytes",
+    "trace_id",      "answers",      "stats",         "snapshot_version",
+    "served_from_view", "optimized", "prepare_cache_hit", "passes_ran",
+    "queue_wait_ns", "prepare_ns",   "execute_ns",    "materialize_ns",
+    "maintain_ns",   "spans",        "explain",       "metrics"};
+
+// The reply's status from its code/error members; a missing or unknown
+// code becomes the status itself, not a decode failure.
+Status ReplyStatus(const std::optional<std::string>& code,
+                   const std::optional<std::string>& error) {
+  if (!code) return MissingField("code");
+  Result<StatusCode> parsed = StatusCodeFromName(*code);
+  if (!parsed.ok()) return parsed.status();
+  if (parsed.value() == StatusCode::kOk) return Status::Ok();
+  return Status::Error(parsed.value(), error.value_or(""));
+}
+
+}  // namespace
+
 Result<ServerMessage> DecodeServerMessage(std::string_view payload) {
-  SQOD_ASSIGN_OR_RETURN(JsonValue root, ParseJson(payload));
-  if (!root.is_object()) {
-    return Status::InvalidArgument("response payload is not a JSON object");
+  JsonReader r(payload);
+  Status root_status;
+  if (!EnterRoot(&r, "response", &root_status)) return root_status;
+
+  std::optional<std::string> type, code, error, tenant, server, trace_id,
+      explain;
+  std::optional<int64_t> id, version, max_frame_bytes, snapshot_version,
+      passes_ran, queue_wait_ns, prepare_ns, execute_ns, materialize_ns,
+      maintain_ns;
+  std::optional<bool> served_from_view, optimized, prepare_cache_hit;
+  std::vector<Tuple> answers;
+  Status answers_error;
+  EvalStats eval_stats;
+  MaintainStats maintain_stats;
+  std::vector<SpanRecord> spans;
+  std::optional<JsonValue> metrics;
+  uint64_t seen = 0;
+  std::string_view key;
+  while (r.NextMember(&key)) {
+    switch (FieldIndex(key, kServerFields, &seen)) {
+      case kSType: ReadTyped(&r, &type); break;
+      case kSId: ReadTyped(&r, &id); break;
+      case kSCode: ReadTyped(&r, &code); break;
+      case kSError: ReadTyped(&r, &error); break;
+      case kSVersion: ReadTyped(&r, &version); break;
+      case kSTenant: ReadTyped(&r, &tenant); break;
+      case kSServer: ReadTyped(&r, &server); break;
+      case kSMaxFrameBytes: ReadTyped(&r, &max_frame_bytes); break;
+      case kSTraceId: ReadTyped(&r, &trace_id); break;
+      case kSAnswers: ReadAnswers(&r, &answers, &answers_error); break;
+      case kSStats: ReadStats(&r, &eval_stats, &maintain_stats); break;
+      case kSSnapshotVersion: ReadTyped(&r, &snapshot_version); break;
+      case kSServedFromView: ReadTyped(&r, &served_from_view); break;
+      case kSOptimized: ReadTyped(&r, &optimized); break;
+      case kSPrepareCacheHit: ReadTyped(&r, &prepare_cache_hit); break;
+      case kSPassesRan: ReadTyped(&r, &passes_ran); break;
+      case kSQueueWaitNs: ReadTyped(&r, &queue_wait_ns); break;
+      case kSPrepareNs: ReadTyped(&r, &prepare_ns); break;
+      case kSExecuteNs: ReadTyped(&r, &execute_ns); break;
+      case kSMaterializeNs: ReadTyped(&r, &materialize_ns); break;
+      case kSMaintainNs: ReadTyped(&r, &maintain_ns); break;
+      case kSSpans: ReadSpans(&r, &spans); break;
+      case kSExplain: ReadTyped(&r, &explain); break;
+      case kSMetrics:
+        ReadJsonValue(&r, &metrics.emplace());
+        break;
+      default: r.SkipValue(); break;
+    }
   }
+  if (!r.Finish()) return r.status();
+
   ServerMessage msg;
-  SQOD_ASSIGN_OR_RETURN(std::string type_name, GetString(root, "type"));
-  SQOD_ASSIGN_OR_RETURN(msg.type, MsgTypeFromName(type_name));
-  SQOD_ASSIGN_OR_RETURN(int64_t id, GetInt64(root, "id"));
-  msg.id = static_cast<uint64_t>(id);
-  msg.status = DecodeStatus(root);
+  if (!type) return MissingField("type");
+  SQOD_ASSIGN_OR_RETURN(msg.type, MsgTypeFromName(*type));
+  if (!id) return MissingField("id");
+  msg.id = static_cast<uint64_t>(*id);
+  msg.status = ReplyStatus(code, error);
 
   switch (msg.type) {
     case MsgType::kHello: {
-      msg.hello.version = static_cast<int>(GetInt64Or(root, "version", 0));
-      msg.hello.tenant = GetStringOr(root, "tenant", "");
-      msg.hello.server = GetStringOr(root, "server", "");
-      msg.hello.max_frame_bytes = GetInt64Or(root, "max_frame_bytes", 0);
+      msg.hello.version = static_cast<int>(version.value_or(0));
+      msg.hello.tenant = tenant.value_or("");
+      msg.hello.server = server.value_or("");
+      msg.hello.max_frame_bytes = max_frame_bytes.value_or(0);
       break;
     }
     case MsgType::kLoadProgram: {
       msg.query.status = msg.status;
-      msg.query.trace_id = TraceIdFromHex(GetStringOr(root, "trace_id", ""));
+      msg.query.trace_id = TraceIdFromHex(trace_id.value_or(""));
       break;
     }
     case MsgType::kQuery:
     case MsgType::kExplain: {
-      Response& r = msg.query;
-      r.status = msg.status;
-      r.trace_id = TraceIdFromHex(GetStringOr(root, "trace_id", ""));
-      const JsonValue* answers = root.Find("answers");
-      if (answers != nullptr && answers->is_array()) {
-        r.answers.reserve(answers->array.size());
-        for (const JsonValue& row : answers->array) {
-          if (!row.is_array()) {
-            return Status::InvalidArgument("answer row is not an array");
-          }
-          Tuple tuple;
-          tuple.reserve(row.array.size());
-          for (const JsonValue& cell : row.array) {
-            SQOD_ASSIGN_OR_RETURN(Value v, WireValue(cell));
-            tuple.push_back(v);
-          }
-          r.answers.push_back(std::move(tuple));
-        }
-      }
-      r.stats = DecodeEvalStats(root);
-      r.snapshot_version = GetInt64Or(root, "snapshot_version", -1);
-      r.served_from_view = GetBoolOr(root, "served_from_view", false);
-      r.optimized = GetBoolOr(root, "optimized", false);
-      r.prepare_cache_hit = GetBoolOr(root, "prepare_cache_hit", false);
-      r.passes_ran = static_cast<int>(GetInt64Or(root, "passes_ran", 0));
-      r.queue_wait_ns = GetInt64Or(root, "queue_wait_ns", 0);
-      r.prepare_ns = GetInt64Or(root, "prepare_ns", 0);
-      r.execute_ns = GetInt64Or(root, "execute_ns", 0);
-      r.spans = DecodeSpans(root);
-      r.explain_json = GetStringOr(root, "explain", "");
+      if (!answers_error.ok()) return answers_error;
+      Response& q = msg.query;
+      q.status = msg.status;
+      q.trace_id = TraceIdFromHex(trace_id.value_or(""));
+      q.answers = std::move(answers);
+      q.stats = eval_stats;
+      q.snapshot_version = snapshot_version.value_or(-1);
+      q.served_from_view = served_from_view.value_or(false);
+      q.optimized = optimized.value_or(false);
+      q.prepare_cache_hit = prepare_cache_hit.value_or(false);
+      q.passes_ran = static_cast<int>(passes_ran.value_or(0));
+      q.queue_wait_ns = queue_wait_ns.value_or(0);
+      q.prepare_ns = prepare_ns.value_or(0);
+      q.execute_ns = execute_ns.value_or(0);
+      q.spans = std::move(spans);
+      q.explain_json = explain.value_or("");
       break;
     }
     case MsgType::kApplyDelta: {
-      DeltaResponse& r = msg.delta;
-      r.status = msg.status;
-      r.trace_id = TraceIdFromHex(GetStringOr(root, "trace_id", ""));
-      r.snapshot_version = GetInt64Or(root, "snapshot_version", -1);
-      r.stats = DecodeMaintainStats(root);
-      r.queue_wait_ns = GetInt64Or(root, "queue_wait_ns", 0);
-      r.materialize_ns = GetInt64Or(root, "materialize_ns", 0);
-      r.maintain_ns = GetInt64Or(root, "maintain_ns", 0);
-      r.spans = DecodeSpans(root);
+      DeltaResponse& d = msg.delta;
+      d.status = msg.status;
+      d.trace_id = TraceIdFromHex(trace_id.value_or(""));
+      d.snapshot_version = snapshot_version.value_or(-1);
+      d.stats = maintain_stats;
+      d.queue_wait_ns = queue_wait_ns.value_or(0);
+      d.materialize_ns = materialize_ns.value_or(0);
+      d.maintain_ns = maintain_ns.value_or(0);
+      d.spans = std::move(spans);
       break;
     }
     case MsgType::kMetrics: {
-      const JsonValue* metrics = root.Find("metrics");
-      if (metrics != nullptr) msg.metrics = *metrics;
+      if (metrics) msg.metrics = std::move(*metrics);
       break;
     }
     case MsgType::kClose:

@@ -38,7 +38,7 @@ namespace sqod {
 // version and the hello'd tenant's namespace, quotas, and metric prefix.
 //
 // Integers wider than 2^53-1 do not survive the JSON number round trip
-// (the minimal parser stores doubles), so encoders emit any int64 outside
+// (JSON numbers are read as doubles), so encoders emit any int64 outside
 // the exact-double range as a decimal string and decoders accept both
 // renderings (WireInt64 below). Trace ids are always hex strings, matching
 // the slow-query log's rendering.
@@ -198,6 +198,11 @@ std::string EncodeErrorResponse(uint64_t id, MsgType type,
 
 // Decodes one request payload (server side). Malformed JSON, unknown
 // types, and missing/mis-typed fields are kInvalidArgument.
+//
+// Both decoders read the payload in one JsonReader pass, straight into the
+// message (answer rows straight into Tuples); see docs/protocol.md,
+// "Decoding", for the field rules (any member order, first duplicate key
+// wins, unknown members skipped but syntax-checked, depth cap 200).
 Result<ClientMessage> DecodeClientMessage(std::string_view payload);
 
 // Decodes one response payload (client side).
@@ -209,7 +214,8 @@ Result<ServerMessage> DecodeServerMessage(std::string_view payload);
 // Appends `value` to `out` as a JSON number when exactly representable as
 // a double, else as a decimal string.
 void AppendWireInt64(int64_t value, std::string* out);
-// Reads an int64 encoded either way; kInvalidArgument on anything else.
+// Reads an int64 encoded either way; kInvalidArgument on anything else,
+// including a number that is not integral or lies outside int64.
 Result<int64_t> WireInt64(const JsonValue& value);
 
 // Values: integers encode as JSON numbers (or {"i": "<decimal>"} outside

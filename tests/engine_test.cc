@@ -1,11 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/engine/engine.h"
 #include "src/engine/explain.h"
+#include "src/engine/view.h"
 #include "src/obs/json.h"
+#include "src/parser/parser.h"
 #include "src/sqo/pass_manager.h"
 #include "src/workload/programs.h"
 
@@ -318,6 +322,92 @@ TEST(ExplainTest, JsonRendersAndParses) {
   const JsonValue* rules = runtime->Find("rules");
   ASSERT_NE(rules, nullptr);
   EXPECT_EQ(rules->array.size(), explain.rules.size());
+}
+
+// ------------------------------------------------------ answer extraction
+
+TEST(AnswerOrderTest, MixedIntsAndSymbolsComeBackInValueOrder) {
+  // Intern the symbols against their name order, so sorting by symbol id
+  // would disagree with Value::Compare.
+  const std::vector<std::string> names = {"ord_zebra", "ord_mango",
+                                          "ord_apple", "ord_kiwi"};
+  for (size_t i = 1; i < names.size(); ++i) {
+    ASSERT_GT(Value::Symbol(names[i]).symbol_id(),
+              Value::Symbol(names[i - 1]).symbol_id());
+  }
+  constexpr const char* kSource = R"(
+    r(X, Y) :- s(X, Y).
+    s(3, ord_zebra). s(ord_apple, 1). s(-7, ord_mango). s(ord_zebra, ord_apple).
+    s(10, 2). s(3, ord_apple). s(ord_apple, -2). s(ord_kiwi, ord_kiwi).
+    s(-7, 5). s(ord_mango, ord_zebra).
+    ?- r.
+  )";
+  auto expected_order = [](std::vector<Tuple> tuples) {
+    std::sort(tuples.begin(), tuples.end(),
+              [](const Tuple& a, const Tuple& b) {
+                for (size_t i = 0; i < a.size(); ++i) {
+                  const int c = a[i].Compare(b[i]);
+                  if (c != 0) return c < 0;
+                }
+                return false;
+              });
+    return tuples;
+  };
+
+  Engine engine;
+  Result<Session> session = engine.Open(kSource);
+  ASSERT_TRUE(session.ok()) << session.status().message();
+  Result<const PreparedProgram*> prepared = session.value().Prepare();
+  ASSERT_TRUE(prepared.ok()) << prepared.status().message();
+  Result<std::vector<Tuple>> executed = session.value().Execute(
+      *prepared.value(), session.value().SharedEdb());
+  ASSERT_TRUE(executed.ok());
+  ASSERT_EQ(executed.value().size(), 10u);
+  EXPECT_EQ(executed.value(), expected_order(executed.value()));
+  EXPECT_EQ(executed.value().front(),
+            (Tuple{Value::Int(-7), Value::Int(5)}));
+  EXPECT_EQ(executed.value().back(),
+            (Tuple{Value::Symbol("ord_zebra"), Value::Symbol("ord_apple")}));
+
+  // The view, after a batch that deletes and inserts (tombstones and rows
+  // appended out of order).
+  Result<MaterializedView*> view =
+      session.value().Materialize(*prepared.value());
+  ASSERT_TRUE(view.ok()) << view.status().message();
+  FactDelta delta;
+  for (const char* fact : {"s(3, ord_apple)", "s(10, 2)"}) {
+    delta.deletes.push_back(ParseAtomText(fact).take());
+  }
+  for (const char* fact : {"s(ord_banana, 0)", "s(-100, ord_kiwi)",
+                           "s(3, ord_aardvark)", "s(4, 4)"}) {
+    delta.inserts.push_back(ParseAtomText(fact).take());
+  }
+  ASSERT_TRUE(view.value()->ApplyDelta(delta).ok());
+  const std::vector<Tuple> answers = view.value()->Answers();
+  ASSERT_EQ(answers.size(), 12u);
+  EXPECT_EQ(answers, expected_order(answers));
+  Result<std::vector<Tuple>> fresh = session.value().Execute(
+      *prepared.value(), view.value()->SnapshotEdb());
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_EQ(answers, fresh.value());
+
+  // Database::ToString prints each relation in the same order (the EDB
+  // holds only s, whose rows are r's).
+  std::string expected_text;
+  for (const Tuple& t : answers) {
+    expected_text += "s(" + t[0].ToString() + ", " + t[1].ToString() + ").\n";
+  }
+  EXPECT_EQ(view.value()->SnapshotEdb().ToString(), expected_text);
+
+  // And straight from a relation holding a tombstone.
+  Database db;
+  for (const char* fact : {"s(ord_zebra, 1)", "s(2, ord_mango)",
+                           "s(ord_apple, 1)", "s(2, 1)", "s(ord_kiwi, 0)"}) {
+    db.InsertAtom(ParseAtomText(fact).take());
+  }
+  ASSERT_TRUE(db.EraseAtom(ParseAtomText("s(ord_kiwi, 0)").take()));
+  EXPECT_EQ(db.ToString(),
+            "s(2, 1).\ns(2, ord_mango).\ns(ord_apple, 1).\ns(ord_zebra, 1).\n");
 }
 
 }  // namespace

@@ -165,6 +165,31 @@ TEST(NetTest, InlineQueryComputesAnswers) {
   server.Stop();
 }
 
+TEST(NetTest, WireDecodeAndEncodeAreTimed) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Result<Client> connected = ConnectAs(server, "");
+  ASSERT_TRUE(connected.ok());
+  QueryParams params;
+  params.source = kChain;
+  Result<Response> response = connected.value().Query(params);
+  ASSERT_TRUE(response.ok());
+  ASSERT_TRUE(response.value().status.ok());
+
+  // Two frames each way so far: hello and the query. A reply is timed
+  // before it is queued, so both replies are recorded by now.
+  const HistogramSnapshot decode =
+      server.metrics().GetHistogram("net/decode_ns")->Snapshot();
+  const HistogramSnapshot encode =
+      server.metrics().GetHistogram("net/encode_ns")->Snapshot();
+  EXPECT_EQ(decode.count, 2);
+  EXPECT_EQ(encode.count, 2);
+  EXPECT_GT(decode.sum, 0);
+  EXPECT_GT(encode.sum, 0);
+  EXPECT_TRUE(connected.value().Close().ok());
+  server.Stop();
+}
+
 TEST(NetTest, NamedSessionServesFromViewAndDeltasAdvanceVersion) {
   Server server(ServerOptions{});
   ASSERT_TRUE(server.Start().ok());

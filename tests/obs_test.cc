@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/eval/evaluator.h"
@@ -528,6 +532,109 @@ TEST(JsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(ValidateJson("{} trailing").ok());
   EXPECT_FALSE(ValidateJson("nul").ok());
   EXPECT_TRUE(ValidateJson("{\"a\": [1, 2.5, -3e2, \"s\", true, null]}").ok());
+}
+
+TEST(JsonTest, SurrogatePairsBecomeOneCodePoint) {
+  // A valid escaped pair is one 4-byte UTF-8 sequence, equal to the raw
+  // bytes; lone or mis-ordered surrogates keep their 3-byte forms.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"("\uD83D\uDE00")", "\xF0\x9F\x98\x80"},
+      {R"("a\uD83D\uDE00b")", "a\xF0\x9F\x98\x80" "b"},
+      {R"("\uDBFF\uDFFF")", "\xF4\x8F\xBF\xBF"},
+      {R"("\uD83D")", "\xED\xA0\xBD"},
+      {R"("\uDE00")", "\xED\xB8\x80"},
+      {R"("\uD83Dx")", "\xED\xA0\xBDx"},
+      {R"("\uD83D\u0041")", "\xED\xA0\xBD" "A"},
+      {R"("\uD83D\uD83D")", "\xED\xA0\xBD\xED\xA0\xBD"},
+      {R"("\uDE00\uD83D")", "\xED\xB8\x80\xED\xA0\xBD"},
+  };
+  for (const auto& [text, utf8] : cases) {
+    Result<JsonValue> parsed = ParseJson(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.value().string, utf8) << text;
+    JsonReader reader(text);
+    std::string read;
+    ASSERT_TRUE(reader.ReadString(&read) && reader.Finish()) << text;
+    EXPECT_EQ(read, utf8) << text;
+  }
+  EXPECT_EQ(ParseJson("\"\xF0\x9F\x98\x80\"").value().string,
+            ParseJson(R"("\uD83D\uDE00")").value().string);
+  // A malformed second escape is still an error, paired or not.
+  EXPECT_FALSE(ValidateJson(R"("\uD83D\uDE0")").ok());
+  EXPECT_FALSE(ValidateJson(R"("\uD83D\u")").ok());
+}
+
+TEST(JsonTest, NumbersParseLikeStrtod) {
+  for (const char* text :
+       {"0", "-0", "9007199254740991", "-9007199254740991", "9007199254740992",
+        "-9007199254740992", "1.5", "-1e-3", "1e300", "1e400", "-1e-400",
+        "123456789012345", "1234567890123456", "007", "2.5E+3"}) {
+    const double expected = std::strtod(text, nullptr);
+    Result<JsonValue> parsed = ParseJson(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.value().number, expected) << text;
+    EXPECT_EQ(std::signbit(parsed.value().number), std::signbit(expected))
+        << text;
+    JsonReader reader(text);
+    JsonNumber number;
+    ASSERT_TRUE(reader.ReadNumber(&number) && reader.Finish()) << text;
+    EXPECT_EQ(number.token, text);
+    EXPECT_EQ(number.ToDouble(), expected) << text;
+    if (number.is_small_int) {
+      EXPECT_EQ(static_cast<double>(number.integer), expected) << text;
+    }
+  }
+  JsonReader small("-123456789012345");
+  JsonNumber number;
+  ASSERT_TRUE(small.ReadNumber(&number));
+  EXPECT_TRUE(number.is_small_int);
+  EXPECT_EQ(number.integer, -123456789012345);
+  JsonReader wide("1234567890123456");
+  ASSERT_TRUE(wide.ReadNumber(&number));
+  EXPECT_FALSE(number.is_small_int);
+}
+
+TEST(JsonTest, ReaderWalksMembersAndElements) {
+  JsonReader reader(R"( {"a": [1, "x", {"b": null}], "a": true, "c": {}} )");
+  ASSERT_TRUE(reader.EnterObject());
+  std::vector<std::string> keys;
+  std::string_view key;
+  while (reader.NextMember(&key)) {
+    keys.emplace_back(key);
+    JsonReader::Kind kind;
+    ASSERT_TRUE(reader.Peek(&kind));
+    if (keys.size() == 1) {
+      ASSERT_EQ(kind, JsonReader::Kind::kArray);
+      ASSERT_TRUE(reader.EnterArray());
+      int elements = 0;
+      while (reader.NextElement()) {
+        ++elements;
+        ASSERT_TRUE(reader.SkipValue());
+      }
+      EXPECT_EQ(elements, 3);
+    } else {
+      ASSERT_TRUE(reader.SkipValue());
+    }
+  }
+  ASSERT_TRUE(reader.ok()) << reader.status().message();
+  EXPECT_TRUE(reader.Finish());
+  EXPECT_EQ(keys, (std::vector<std::string>{"a", "a", "c"}));
+  // ParseJson keeps the first of duplicated keys.
+  EXPECT_EQ(ParseJson(R"({"a":1,"a":2})").value().Find("a")->number, 1);
+}
+
+TEST(JsonTest, DepthCapMatchesAcrossReaderAndDom) {
+  // The top-level value is depth 0; a value deeper than 200 is an error.
+  for (int depth = 199; depth <= 203; ++depth) {
+    for (const std::string& core : {std::string(), std::string("0")}) {
+      const std::string text =
+          std::string(depth, '[') + core + std::string(depth, ']');
+      const int deepest = core.empty() ? depth - 1 : depth;
+      const bool ok = deepest <= JsonReader::kMaxDepth;
+      EXPECT_EQ(ParseJson(text).ok(), ok) << depth << core;
+      EXPECT_EQ(ValidateJson(text).ok(), ok) << depth << core;
+    }
+  }
 }
 
 // ------------------------------------------------- pipeline integration

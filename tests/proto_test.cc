@@ -339,5 +339,68 @@ TEST(ProtoTest, WireValueRoundTripsIntsAndSymbols) {
   }
 }
 
+TEST(ProtoTest, EscapedSurrogatePairEqualsRawUtf8) {
+  // A symbol sent as an escaped surrogate pair decodes to the same bytes as
+  // the raw UTF-8, in request fields and in answer cells alike.
+  const std::string raw = "\xF0\x9F\x98\x80";
+  Result<ClientMessage> escaped = DecodeClientMessage(
+      R"({"type":"explain","id":1,"session":"s-\uD83D\uDE00"})");
+  Result<ClientMessage> plain = DecodeClientMessage(
+      "{\"type\":\"explain\",\"id\":1,\"session\":\"s-" + raw + "\"}");
+  ASSERT_TRUE(escaped.ok() && plain.ok());
+  EXPECT_EQ(escaped.value().query.session, "s-" + raw);
+  EXPECT_EQ(escaped.value().query.session, plain.value().query.session);
+
+  Result<ServerMessage> reply = DecodeServerMessage(
+      R"({"type":"query","id":2,"code":"OK","answers":[["\uD83D\uDE00"]]})");
+  ASSERT_TRUE(reply.ok()) << reply.status().message();
+  ASSERT_EQ(reply.value().query.answers.size(), 1u);
+  EXPECT_EQ(reply.value().query.answers[0][0], Value::Symbol(raw));
+
+  // A lone surrogate keeps its 3-byte form, as before pairs were combined.
+  Result<ClientMessage> lone = DecodeClientMessage(
+      R"({"type":"explain","id":1,"session":"\uD83D"})");
+  ASSERT_TRUE(lone.ok());
+  EXPECT_EQ(lone.value().query.session, "\xED\xA0\xBD");
+}
+
+TEST(ProtoTest, NumbersDecodeAlikeOnEveryPath) {
+  // ParseJson + WireInt64 / WireValue and the single-pass decoders give the
+  // same verdict and value for every number shape.
+  for (const char* text :
+       {"0", "-0", "9007199254740991", "-9007199254740991", "9007199254740992",
+        "-9007199254740992", "1.5", "-1e-3", "1e300", "1e18", "12.0",
+        "-123456789012345", "\"-42\"", "\"9223372036854775808\""}) {
+    Result<JsonValue> parsed = ParseJson(text);
+    ASSERT_TRUE(parsed.ok()) << text;
+    Result<int64_t> wire = WireInt64(parsed.value());
+    Result<ClientMessage> request = DecodeClientMessage(
+        std::string(R"({"type":"close","id":)") + text + "}");
+    EXPECT_EQ(request.ok(), wire.ok()) << text;
+    if (wire.ok() && request.ok()) {
+      EXPECT_EQ(request.value().id, static_cast<uint64_t>(wire.value()))
+          << text;
+    }
+    const std::string cell = parsed.value().is_string()
+                                 ? std::string(R"({"i":)") + text + "}"
+                                 : std::string(text);
+    Result<JsonValue> cell_json = ParseJson(cell);
+    ASSERT_TRUE(cell_json.ok());
+    Result<Value> value = WireValue(cell_json.value());
+    Result<ServerMessage> reply = DecodeServerMessage(
+        R"({"type":"query","id":1,"code":"OK","answers":[[)" + cell + "]]}");
+    EXPECT_EQ(reply.ok(), value.ok()) << text;
+    if (value.ok() && reply.ok()) {
+      EXPECT_EQ(reply.value().query.answers[0][0], value.value()) << text;
+    }
+  }
+  // The wire rule itself: integral, and within int64.
+  EXPECT_FALSE(WireInt64(ParseJson("1.5").value()).ok());
+  EXPECT_FALSE(WireInt64(ParseJson("1e300").value()).ok());
+  EXPECT_EQ(WireInt64(ParseJson("-0").value()).value(), 0);
+  EXPECT_EQ(WireInt64(ParseJson("9007199254740992").value()).value(),
+            int64_t{1} << 53);
+}
+
 }  // namespace
 }  // namespace sqod
