@@ -1,7 +1,7 @@
 #include "src/ast/term.h"
 
+#include <atomic>
 #include <string>
-#include <unordered_map>
 
 namespace sqod {
 
@@ -31,21 +31,17 @@ Term FreshVarGen::Next() { return NextLike("_G"); }
 
 Term FreshVarGen::NextLike(std::string_view base) {
   // A name is fresh iff it has never been interned (the global interner
-  // remembers every name ever seen). Suffixes resume from a process-wide
-  // per-base high-water mark: every suffix below it is already interned, so
-  // probing from 0 would re-scan them all — cost that grows with each
-  // optimizer run in the process. The Find check still skips suffixes the
-  // input itself happens to use. Leaked, like GlobalStrings(), to dodge
-  // static destruction order.
-  static std::unordered_map<std::string, int>* next_suffix =
-      new std::unordered_map<std::string, int>();
-  int& counter = (*next_suffix)[std::string(base)];
+  // remembers every name ever seen). Suffixes come from one process-wide
+  // counter shared by every base and thread, so generation never re-probes
+  // a suffix it handed out before and keeps no per-base state.
+  static std::atomic<int64_t> next_suffix{0};
   for (;;) {
-    std::string name = std::string(base) + "#" + std::to_string(counter++);
+    std::string name = std::string(base) + "#" + std::to_string(next_suffix++);
     bool inserted = false;
     SymbolId id = GlobalStrings().Intern(name, &inserted);
-    // Inserted means no one had ever used this name: it is fresh. A hit
-    // means the input uses the name; advance and retry.
+    // Inserted means no one had ever used this name: it is fresh (the
+    // interner is thread-safe, so concurrent callers never share one). A
+    // hit means the input uses the name; advance and retry.
     if (inserted) return Term::VarFromId(id);
   }
 }

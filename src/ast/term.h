@@ -62,10 +62,9 @@ struct TermHash {
   size_t operator()(const Term& t) const { return t.Hash(); }
 };
 
-// Generates globally fresh variables. Suffix counters are process-wide and
-// per base name, so generation stays O(1) no matter how many fresh names
-// the process has already made (single-threaded, like the rest of the
-// library).
+// Generates globally fresh variables, safe to use from any number of
+// threads. Suffixes come from one process-wide counter, so generation stays
+// O(1) no matter how many fresh names the process has already made.
 class FreshVarGen {
  public:
   // Returns a fresh variable named "_G#<n>".

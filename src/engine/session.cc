@@ -57,14 +57,14 @@ const Database& Session::SharedEdb() {
 }
 
 Result<MaterializedView*> Session::Materialize(
-    const PreparedProgram& prepared, const MaterializeOptions& options) {
+    const PreparedProgram& prepared) {
   std::lock_guard<std::mutex> lock(views_->mu);
   auto it = views_->views.find(prepared.cache_key);
   if (it != views_->views.end()) return it->second.get();
 
   engine_->metrics().GetCounter("engine/views_materialized")->Increment();
   Result<std::unique_ptr<MaterializedView>> view =
-      MaterializedView::Create(prepared, MakeEdb(), options);
+      MaterializedView::Create(prepared, MakeEdb());
   if (!view.ok()) return view.status();
   MaterializedView* result = view.value().get();
   views_->views.emplace(prepared.cache_key, std::move(view).value());
@@ -102,14 +102,9 @@ std::string Session::Fingerprint(const SqoOptions& options) const {
   return fp;
 }
 
-Result<const PreparedProgram*> Session::Prepare(const SqoOptions& options) {
-  bool cache_hit = false;
-  return Prepare(options, &cache_hit);
-}
-
 Result<const PreparedProgram*> Session::Prepare(const SqoOptions& options,
                                                 bool* cache_hit) {
-  *cache_hit = false;
+  if (cache_hit != nullptr) *cache_hit = false;
   MetricsRegistry& metrics = engine_->metrics();
   std::string fp = Fingerprint(options);
 
@@ -133,7 +128,7 @@ Result<const PreparedProgram*> Session::Prepare(const SqoOptions& options,
       }
       if (entry->prepared != nullptr) {
         metrics.GetCounter("engine/prepare_cache_hits")->Increment();
-        *cache_hit = true;
+        if (cache_hit != nullptr) *cache_hit = true;
         return const_cast<const PreparedProgram*>(entry->prepared.get());
       }
       // The in-flight run failed; its slot has been removed, so a later

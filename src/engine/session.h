@@ -20,19 +20,6 @@ namespace sqod {
 class Engine;
 class MaterializedView;
 
-// How Session::Materialize builds and maintains a view (see
-// src/engine/view.h and docs/ivm.md).
-struct MaterializeOptions {
-  // Evaluation options for the initial fixpoint and the recompute
-  // fallback. The incremental path never runs the evaluator.
-  EvalOptions eval;
-  // Fall back to a full recompute when a batch's net change exceeds this
-  // fraction of the live EDB.
-  double recompute_fraction = 0.25;
-  // Always recompute (benchmark baseline / escape hatch).
-  bool force_recompute = false;
-};
-
 // An optimized program, ready for repeated execution. Owned by the session
 // that prepared it; pointers returned by Session::Prepare stay valid for
 // the session's lifetime (or until ClearCache). Immutable once published,
@@ -105,14 +92,12 @@ class Session {
   // the engine's MetricsRegistry ("engine/prepare_cache_{hits,misses}");
   // callers that blocked on another thread's in-flight run also count as
   // hits, plus "engine/prepare_single_flight_waits". The returned pointer
-  // is owned by the session.
-  Result<const PreparedProgram*> Prepare(const SqoOptions& options = {});
-
-  // Same, and reports whether this call was served from the cache (a hit
-  // or a wait on another thread's in-flight run) rather than running the
-  // pipeline itself. The serving layer surfaces this per request.
-  Result<const PreparedProgram*> Prepare(const SqoOptions& options,
-                                         bool* cache_hit);
+  // is owned by the session. `cache_hit` (optional) reports whether this
+  // call was served from the cache (a hit or a wait on another thread's
+  // in-flight run) rather than running the pipeline itself; the serving
+  // layer surfaces it per request.
+  Result<const PreparedProgram*> Prepare(const SqoOptions& options = {},
+                                         bool* cache_hit = nullptr);
 
   // Evaluates the prepared (rewritten) program against `edb` and returns
   // the query predicate's tuples, sorted. The engine's tracer/metrics are
@@ -130,16 +115,13 @@ class Session {
       std::vector<RuleProfile>* profiles = nullptr);
 
   // The materialized view for `prepared`, building it on first use (one
-  // view per prepared program, keyed by its cache key; `options` only
-  // matter for the call that builds the view). The view is owned by the
-  // session and stays valid until ClearCache. Building runs the initial
-  // fixpoint, so the first call pays an Execute-sized cost; later calls
-  // return the warm view immediately.
-  Result<MaterializedView*> Materialize(const PreparedProgram& prepared,
-                                        const MaterializeOptions& options);
-  Result<MaterializedView*> Materialize(const PreparedProgram& prepared) {
-    return Materialize(prepared, MaterializeOptions());
-  }
+  // view per prepared program, keyed by its cache key). The view runs the
+  // prepared compiled plan with default EvalOptions and maintains with
+  // default ApplyDeltaOptions (docs/ivm.md). It is owned by the session and
+  // stays valid until ClearCache. Building runs the initial fixpoint, so
+  // the first call pays an Execute-sized cost; later calls return the warm
+  // view immediately.
+  Result<MaterializedView*> Materialize(const PreparedProgram& prepared);
 
   // Number of distinct prepared programs cached (in-flight ones included).
   size_t cache_size() const;

@@ -336,7 +336,7 @@ bool Server::HandleMessage(Connection* conn, const ClientMessage& msg) {
       request.deadline_ms = msg.query.deadline_ms;
       request.trace = msg.query.trace;
       request.want_explain = msg.query.explain;
-      request.sqo.disabled_passes = msg.query.disabled_passes;
+      request.disabled_passes = msg.query.disabled_passes;
       // Session-addressed queries serve from the session's pinned
       // materialized view (snapshot-versioned answers that ApplyDelta
       // advances); inline one-shots evaluate against the base snapshot

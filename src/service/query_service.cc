@@ -31,6 +31,16 @@ std::string TenantMetric(const std::string& tenant, const char* suffix) {
   return "tenant/" + tenant + "/" + suffix;
 }
 
+// An event-log entry stamped now, joinable with the request's spans.
+LogEvent RequestEvent(const TraceContext& trace, const char* kind) {
+  LogEvent event;
+  event.ts_ns = NowNs();
+  event.trace_id = trace.trace_id;
+  event.request_id = trace.request_id;
+  event.kind = kind;
+  return event;
+}
+
 }  // namespace
 
 Result<int64_t> DeadlineNsFromMs(int64_t deadline_ms, int64_t now_ns) {
@@ -68,226 +78,270 @@ QueryService::QueryService(ServiceOptions options)
 
 QueryService::~QueryService() { Shutdown(); }
 
-void QueryService::Deliver(Job* job, Response response) {
-  if (job->callback) {
-    job->callback(std::move(response));
-  } else {
-    job->promise.set_value(std::move(response));
+// The per-kind data of the shared lifecycle. Outcome counters are picked
+// by status: ok, cancelled, deadline exceeded, anything else. A delta batch
+// has no token and no deadline, so its cancelled and deadline slots name
+// the failed counter and are never reached.
+struct QueryService::Kind {
+  // The root span and its admission, queue and prepare phases.
+  const char* span;
+  const char* admission_span;
+  const char* queue_span;
+  const char* prepare_span;
+  // Admission: service-wide and per-tenant accepted counters, the rejected
+  // counter, and the rejection-cause split (null: none).
+  const char* accepted;
+  const char* tenant_accepted;
+  const char* rejected;
+  const char* rejected_queue_full;
+  const char* rejected_shutdown;
+  const char* completed;
+  const char* cancelled;
+  const char* deadline_exceeded;
+  const char* failed;
+  const char* slow_event;
+  // Rejection and error events of this kind carry a delta=1 field.
+  bool delta_event;
+  // The terminal step, run after session lookup and Prepare.
+  Status (QueryService::*run)(Job*, Session&,
+                              const Result<const PreparedProgram*>&);
+  // Puts the kind's result on the closing root span and, with `slow`, its
+  // fields (after total_ns and queue_wait_ns) and, when ok, its summary.
+  void (*report)(const Job& job, Span& root, LogEvent* slow);
+
+  static void ReportQuery(const Job& job, Span& root, LogEvent* slow);
+  static void ReportDelta(const Job& job, Span& root, LogEvent* slow);
+  static const Kind kQuery;
+  static const Kind kDelta;
+};
+
+struct QueryService::Job {
+  const Kind* kind = nullptr;
+  // The request as the shared stages read it. A delta batch sets source,
+  // tenant and trace; its facts travel in `delta`.
+  Request request;
+  FactDelta delta;
+  // Set on the root span right after request_id.
+  std::vector<std::pair<const char*, int64_t>> root_attrs;
+  // Runs exactly once, with the finished job.
+  std::function<void(Job&)> deliver;
+  int64_t submit_ns = 0;
+  int64_t deadline_ns = -1;  // absolute, NowNs() scale
+  // Request-scoped telemetry: the trace id / span collector, and the root
+  // span (opened at admission, closed at finish). The embedded Tracer is
+  // touched by the submitting thread only before the pool handoff, and by
+  // the owning worker only after — the pool's queue is the happens-before
+  // edge between the two.
+  TraceContext trace;
+  Span root_span;
+  // The outcome. A query delivers `response`; a delta batch delivers
+  // `batch`, with the shared fields (status, trace id, queue wait, version,
+  // spans) taken from `response`.
+  Response response;
+  DeltaResponse batch;
+  // What the slow-query log reads at finish.
+  const PreparedProgram* prepared = nullptr;
+  const MaterializedView* view = nullptr;
+  std::vector<RuleProfile> profiles;
+};
+
+const QueryService::Kind QueryService::Kind::kQuery = {
+    "request", "request.admission", "request.queue", "request.prepare",
+    "service/requests_accepted", "requests", "service/requests_rejected",
+    "service/requests_rejected_queue_full",
+    "service/requests_rejected_shutdown", "service/requests_completed",
+    "service/requests_cancelled", "service/requests_deadline_exceeded",
+    "service/requests_failed", "slow_query", false, &QueryService::Answer,
+    &Kind::ReportQuery};
+
+const QueryService::Kind QueryService::Kind::kDelta = {
+    "delta", "delta.admission", "delta.queue", "delta.prepare",
+    "service/delta_batches", "delta_batches",
+    "service/delta_batches_rejected", nullptr, nullptr,
+    "service/delta_batches_completed", "service/delta_batches_failed",
+    "service/delta_batches_failed", "service/delta_batches_failed",
+    "slow_delta", true, &QueryService::Maintain, &Kind::ReportDelta};
+
+void QueryService::Kind::ReportQuery(const Job& job, Span& root,
+                                     LogEvent* slow) {
+  const Response& response = job.response;
+  const int64_t answers = static_cast<int64_t>(response.answers.size());
+  root.SetAttr("answers", answers);
+  if (slow == nullptr) return;
+  slow->fields.emplace_back("prepare_ns", response.prepare_ns);
+  slow->fields.emplace_back("execute_ns", response.execute_ns);
+  slow->fields.emplace_back("answers", answers);
+  if (!response.status.ok() || job.prepared == nullptr) return;
+  ExplainReport explain =
+      BuildExplainReport(job.prepared->report, job.prepared->compiled.get());
+  AttachRuntime(job.prepared->report, response.stats, job.profiles, answers,
+                response.execute_ns, &explain);
+  if (job.view != nullptr) {
+    AttachMaintenance(job.view->totals(), job.view->last_batch(),
+                      job.view->batches_applied(), &explain);
   }
+  slow->message = explain.Summary();
 }
 
-void QueryService::Deliver(DeltaJob* job, DeltaResponse response) {
-  if (job->callback) {
-    job->callback(std::move(response));
-  } else {
-    job->promise.set_value(std::move(response));
-  }
-}
-
-std::future<Response> QueryService::Submit(Request request) {
-  auto job = std::make_shared<Job>();
-  job->request = std::move(request);
-  std::future<Response> future = job->promise.get_future();
-  SubmitJob(std::move(job));
-  return future;
+void QueryService::Kind::ReportDelta(const Job& job, Span& root,
+                                     LogEvent* slow) {
+  const int64_t version = job.response.snapshot_version;
+  root.SetAttr("version", version);
+  if (slow == nullptr) return;
+  slow->fields.emplace_back("materialize_ns", job.batch.materialize_ns);
+  slow->fields.emplace_back("maintain_ns", job.batch.maintain_ns);
+  slow->fields.emplace_back("version", version);
+  if (job.response.status.ok()) slow->message = job.batch.stats.Summary();
 }
 
 void QueryService::Submit(Request request,
                           std::function<void(Response)> done) {
   auto job = std::make_shared<Job>();
+  job->kind = &Kind::kQuery;
   job->request = std::move(request);
-  job->callback = std::move(done);
-  SubmitJob(std::move(job));
+  job->deliver = [done = std::move(done)](Job& finished) {
+    done(std::move(finished.response));
+  };
+  Admit(std::move(job));
 }
 
-void QueryService::SubmitJob(std::shared_ptr<Job> job) {
-  job->submit_ns = NowNs();
-
-  job->trace.trace_id = NextTraceId();
-  job->trace.request_id =
-      next_request_id_.fetch_add(1, std::memory_order_relaxed);
-  job->trace.submit_ns = job->submit_ns;
-  job->trace.metrics = &metrics();
-  job->trace.tracer.set_enabled(job->request.trace);
-  Tracer& tracer = job->trace.tracer;
-
-  // The single ms→ns deadline conversion. Invalid deadlines are rejected
-  // here, before admission, like any other malformed request.
-  Result<int64_t> deadline =
-      DeadlineNsFromMs(job->request.deadline_ms, job->submit_ns);
-  if (!deadline.ok()) {
-    metrics().GetCounter("service/requests_rejected")->Increment();
-    metrics().GetCounter("service/requests_rejected_invalid")->Increment();
-    if (!job->request.tenant.empty()) {
-      metrics()
-          .GetCounter(TenantMetric(job->request.tenant, "rejected"))
-          ->Increment();
-    }
-    Response response;
-    response.trace_id = job->trace.trace_id;
-    response.status = deadline.status();
-    Deliver(job.get(), std::move(response));
-    return;
-  }
-  job->deadline_ns = deadline.value();
-  job->trace.deadline_ns = job->deadline_ns;
-
-  // Everything the submitting thread records must happen strictly before
-  // the pool handoff: a worker may start (and touch the tracer) the moment
-  // Submit enqueues the job.
-  // No trace-id attr here: the Chrome-trace exporter stamps every event's
-  // args with the hex trace id, and a second (integer) copy on the root
-  // span would shadow it.
-  job->root_span = tracer.StartSpanAt("request", job->submit_ns);
-  job->root_span.SetAttr("request_id",
-                         static_cast<int64_t>(job->trace.request_id));
-  {
-    Span admission = tracer.StartSpan("request.admission");
-    admission.SetAttr("queue_depth",
-                      static_cast<int64_t>(pool_.queue_depth()));
-  }
-
-  ThreadPool::SubmitResult submitted =
-      pool_.Submit([this, job] { Process(job.get()); });
-  if (submitted == ThreadPool::SubmitResult::kAccepted) {
-    metrics().GetCounter("service/requests_accepted")->Increment();
-    if (!job->request.tenant.empty()) {
-      metrics()
-          .GetCounter(TenantMetric(job->request.tenant, "requests"))
-          ->Increment();
-    }
-    return;
-  }
-
-  const bool queue_full = submitted == ThreadPool::SubmitResult::kQueueFull;
-  metrics().GetCounter("service/requests_rejected")->Increment();
-  metrics()
-      .GetCounter(queue_full ? "service/requests_rejected_queue_full"
-                             : "service/requests_rejected_shutdown")
-      ->Increment();
-  if (!job->request.tenant.empty()) {
-    metrics()
-        .GetCounter(TenantMetric(job->request.tenant, "rejected"))
-        ->Increment();
-  }
-  // Rejected requests never waited, but they still contribute a sample:
-  // the queue-wait distribution covers every submitted request, so load
-  // shedding pulls the percentiles down instead of hiding them.
-  metrics().GetHistogram("service/queue_wait_ns")->Record(0);
-
-  Response response;
-  response.trace_id = job->trace.trace_id;
-  response.status =
-      queue_full ? Status::ResourceExhausted(
-                       "admission queue full (max_queue=" +
-                       std::to_string(options_.max_queue) + ")")
-                 : Status::FailedPrecondition("service is shut down");
-  job->root_span.SetAttr("rejected", 1);
-  job->root_span.End();
-  if (tracer.enabled()) response.spans = tracer.TakeSpans();
-
-  LogEvent event;
-  event.ts_ns = NowNs();
-  event.trace_id = job->trace.trace_id;
-  event.request_id = job->trace.request_id;
-  event.kind = "request_rejected";
-  event.fields.emplace_back("queue_full", queue_full ? 1 : 0);
-  event.message = response.status.message();
-  event_log_.Append(std::move(event));
-
-  Deliver(job.get(), std::move(response));
+std::future<Response> QueryService::Submit(Request request) {
+  auto promise = std::make_shared<std::promise<Response>>();
+  std::future<Response> future = promise->get_future();
+  Submit(std::move(request), [promise](Response response) {
+    promise->set_value(std::move(response));
+  });
+  return future;
 }
 
 Response QueryService::Call(Request request) {
   return Submit(std::move(request)).get();
 }
 
+void QueryService::ApplyDelta(DeltaRequest request,
+                              std::function<void(DeltaResponse)> done) {
+  auto job = std::make_shared<Job>();
+  job->kind = &Kind::kDelta;
+  job->request.source = std::move(request.source);
+  job->request.tenant = std::move(request.tenant);
+  job->request.trace = request.trace;
+  job->root_attrs = {
+      {"inserts", static_cast<int64_t>(request.delta.inserts.size())},
+      {"deletes", static_cast<int64_t>(request.delta.deletes.size())}};
+  job->delta = std::move(request.delta);
+  job->deliver = [done = std::move(done)](Job& finished) {
+    DeltaResponse& batch = finished.batch;
+    Response& response = finished.response;
+    batch.status = std::move(response.status);
+    batch.trace_id = response.trace_id;
+    batch.queue_wait_ns = response.queue_wait_ns;
+    batch.snapshot_version = response.snapshot_version;
+    batch.spans = std::move(response.spans);
+    done(std::move(batch));
+  };
+  Admit(std::move(job));
+}
+
 std::future<DeltaResponse> QueryService::ApplyDelta(DeltaRequest request) {
-  auto job = std::make_shared<DeltaJob>();
-  job->request = std::move(request);
-  std::future<DeltaResponse> future = job->promise.get_future();
-  SubmitDeltaJob(std::move(job));
+  auto promise = std::make_shared<std::promise<DeltaResponse>>();
+  std::future<DeltaResponse> future = promise->get_future();
+  ApplyDelta(std::move(request), [promise](DeltaResponse response) {
+    promise->set_value(std::move(response));
+  });
   return future;
 }
 
-void QueryService::ApplyDelta(DeltaRequest request,
-                              std::function<void(DeltaResponse)> done) {
-  auto job = std::make_shared<DeltaJob>();
-  job->request = std::move(request);
-  job->callback = std::move(done);
-  SubmitDeltaJob(std::move(job));
+DeltaResponse QueryService::CallApplyDelta(DeltaRequest request) {
+  return ApplyDelta(std::move(request)).get();
 }
 
-void QueryService::SubmitDeltaJob(std::shared_ptr<DeltaJob> job) {
+void QueryService::Admit(std::shared_ptr<Job> job) {
+  const Kind& kind = *job->kind;
+  const std::string& tenant = job->request.tenant;
+  Response& response = job->response;
+  MetricsRegistry& metrics = this->metrics();
   job->submit_ns = NowNs();
 
   job->trace.trace_id = NextTraceId();
   job->trace.request_id =
       next_request_id_.fetch_add(1, std::memory_order_relaxed);
   job->trace.submit_ns = job->submit_ns;
-  job->trace.metrics = &metrics();
+  job->trace.metrics = &metrics;
   job->trace.tracer.set_enabled(job->request.trace);
-
   Tracer& tracer = job->trace.tracer;
-  job->root_span = tracer.StartSpanAt("delta", job->submit_ns);
+  response.trace_id = job->trace.trace_id;
+
+  // Everything the submitting thread records must happen strictly before
+  // the pool handoff: a worker may start (and touch the tracer) the moment
+  // the job is enqueued.
+  // No trace-id attr here: the Chrome-trace exporter stamps every event's
+  // args with the hex trace id, and a second (integer) copy on the root
+  // span would shadow it.
+  job->root_span = tracer.StartSpanAt(kind.span, job->submit_ns);
   job->root_span.SetAttr("request_id",
                          static_cast<int64_t>(job->trace.request_id));
-  job->root_span.SetAttr(
-      "inserts", static_cast<int64_t>(job->request.delta.inserts.size()));
-  job->root_span.SetAttr(
-      "deletes", static_cast<int64_t>(job->request.delta.deletes.size()));
+  for (const auto& [key, value] : job->root_attrs) {
+    job->root_span.SetAttr(key, value);
+  }
   {
-    Span admission = tracer.StartSpan("delta.admission");
+    Span admission = tracer.StartSpan(kind.admission_span);
     admission.SetAttr("queue_depth",
                       static_cast<int64_t>(pool_.queue_depth()));
   }
 
-  ThreadPool::SubmitResult submitted =
-      pool_.Submit([this, job] { ProcessDelta(job.get()); });
-  if (submitted == ThreadPool::SubmitResult::kAccepted) {
-    metrics().GetCounter("service/delta_batches")->Increment();
-    if (!job->request.tenant.empty()) {
-      metrics()
-          .GetCounter(TenantMetric(job->request.tenant, "delta_batches"))
-          ->Increment();
+  // The single ms→ns deadline conversion. An invalid deadline is rejected
+  // here, before the queue, like any other malformed request.
+  Result<int64_t> deadline =
+      DeadlineNsFromMs(job->request.deadline_ms, job->submit_ns);
+  const char* cause = "service/requests_rejected_invalid";
+  if (deadline.ok()) {
+    job->deadline_ns = deadline.value();
+    job->trace.deadline_ns = job->deadline_ns;
+    ThreadPool::SubmitResult submitted =
+        pool_.Submit([this, job] { Process(job.get()); });
+    if (submitted == ThreadPool::SubmitResult::kAccepted) {
+      metrics.GetCounter(kind.accepted)->Increment();
+      if (!tenant.empty()) {
+        metrics.GetCounter(TenantMetric(tenant, kind.tenant_accepted))
+            ->Increment();
+      }
+      return;
     }
-    return;
+    const bool queue_full =
+        submitted == ThreadPool::SubmitResult::kQueueFull;
+    cause = queue_full ? kind.rejected_queue_full : kind.rejected_shutdown;
+    response.status =
+        queue_full ? Status::ResourceExhausted(
+                         "admission queue full (max_queue=" +
+                         std::to_string(options_.max_queue) + ")")
+                   : Status::FailedPrecondition("service is shut down");
+  } else {
+    response.status = deadline.status();
   }
 
-  const bool queue_full = submitted == ThreadPool::SubmitResult::kQueueFull;
-  metrics().GetCounter("service/delta_batches_rejected")->Increment();
-  if (!job->request.tenant.empty()) {
-    metrics()
-        .GetCounter(TenantMetric(job->request.tenant, "rejected"))
-        ->Increment();
+  metrics.GetCounter(kind.rejected)->Increment();
+  if (cause != nullptr) metrics.GetCounter(cause)->Increment();
+  if (!tenant.empty()) {
+    metrics.GetCounter(TenantMetric(tenant, "rejected"))->Increment();
   }
+  // Rejected requests never waited, but they still contribute a sample:
+  // the queue-wait distribution covers every submitted request, so load
+  // shedding pulls the percentiles down instead of hiding them.
+  metrics.GetHistogram("service/queue_wait_ns")->Record(0);
 
-  DeltaResponse response;
-  response.trace_id = job->trace.trace_id;
-  response.status =
-      queue_full ? Status::ResourceExhausted(
-                       "admission queue full (max_queue=" +
-                       std::to_string(options_.max_queue) + ")")
-                 : Status::FailedPrecondition("service is shut down");
   job->root_span.SetAttr("rejected", 1);
   job->root_span.End();
   if (tracer.enabled()) response.spans = tracer.TakeSpans();
 
-  LogEvent event;
-  event.ts_ns = NowNs();
-  event.trace_id = job->trace.trace_id;
-  event.request_id = job->trace.request_id;
-  event.kind = "request_rejected";
-  event.fields.emplace_back("queue_full", queue_full ? 1 : 0);
-  event.fields.emplace_back("delta", 1);
+  LogEvent event = RequestEvent(job->trace, "request_rejected");
+  event.fields.emplace_back(
+      "queue_full",
+      response.status.code() == StatusCode::kResourceExhausted ? 1 : 0);
+  if (kind.delta_event) event.fields.emplace_back("delta", 1);
   event.message = response.status.message();
   event_log_.Append(std::move(event));
 
-  Deliver(job.get(), std::move(response));
-}
-
-DeltaResponse QueryService::CallApplyDelta(DeltaRequest request) {
-  return ApplyDelta(std::move(request)).get();
+  job->deliver(*job);
 }
 
 void QueryService::Shutdown() {
@@ -357,328 +411,113 @@ std::shared_ptr<QueryService::SessionEntry> QueryService::GetSession(
   return entry;
 }
 
-void QueryService::ProcessDelta(DeltaJob* job) {
-  const int64_t start_ns = NowNs();
-  MetricsRegistry& metrics = this->metrics();
-  metrics.GetHistogram("service/queue_wait_ns")
-      ->Record(start_ns - job->submit_ns);
-
-  Tracer& tracer = job->trace.tracer;
-  {
-    Span queue = tracer.StartSpanAt("delta.queue", job->submit_ns);
-  }
-
-  DeltaResponse response;
-  response.trace_id = job->trace.trace_id;
-  response.queue_wait_ns = start_ns - job->submit_ns;
-
-  auto finish = [&](Status status) {
-    response.status = std::move(status);
-    metrics
-        .GetCounter(response.status.ok() ? "service/delta_batches_completed"
-                                         : "service/delta_batches_failed")
-        ->Increment();
-
-    const int64_t total_ns = NowNs() - job->submit_ns;
-    if (!job->request.tenant.empty()) {
-      metrics
-          .GetCounter(TenantMetric(job->request.tenant,
-                                   response.status.ok() ? "completed"
-                                                        : "errors"))
-          ->Increment();
-      metrics.GetHistogram(TenantMetric(job->request.tenant, "latency_ns"))
-          ->Record(total_ns);
-    }
-    job->root_span.SetAttr("status_code",
-                           static_cast<int64_t>(response.status.code()));
-    job->root_span.SetAttr("version", response.snapshot_version);
-    job->root_span.End();
-    if (tracer.enabled()) response.spans = tracer.TakeSpans();
-
-    if (!response.status.ok()) {
-      LogEvent event;
-      event.ts_ns = NowNs();
-      event.trace_id = job->trace.trace_id;
-      event.request_id = job->trace.request_id;
-      event.kind = "request_error";
-      event.fields.emplace_back("code",
-                                static_cast<int64_t>(response.status.code()));
-      event.fields.emplace_back("total_ns", total_ns);
-      event.fields.emplace_back("delta", 1);
-      event.message = std::string(StatusCodeName(response.status.code())) +
-                      ": " + response.status.message();
-      event_log_.Append(std::move(event));
-    }
-
-    // Slow maintenance batches land in the same ring as slow queries,
-    // joinable with their span tree by trace id.
-    if (options_.slow_query_ms >= 0 &&
-        total_ns >= options_.slow_query_ms * 1'000'000) {
-      metrics.GetCounter("service/slow_queries")->Increment();
-      LogEvent event;
-      event.ts_ns = NowNs();
-      event.trace_id = job->trace.trace_id;
-      event.request_id = job->trace.request_id;
-      event.kind = "slow_delta";
-      event.fields.emplace_back("total_ns", total_ns);
-      event.fields.emplace_back("queue_wait_ns", response.queue_wait_ns);
-      event.fields.emplace_back("materialize_ns", response.materialize_ns);
-      event.fields.emplace_back("maintain_ns", response.maintain_ns);
-      event.fields.emplace_back("version", response.snapshot_version);
-      if (response.status.ok()) {
-        event.message = response.stats.Summary();
-      } else {
-        event.message = std::string(StatusCodeName(response.status.code())) +
-                        ": " + response.status.message();
-      }
-      event_log_.Append(std::move(event));
-    }
-
-    Deliver(job, std::move(response));
-  };
-
-  std::shared_ptr<SessionEntry> entry =
-      GetSession(job->request.tenant, job->request.source);
-  if (entry->session == nullptr) {
-    finish(entry->status);
-    return;
-  }
-  Session& session = *entry->session;
-
-  // Maintenance has no original-program fallback: a view exists only for a
-  // prepared (rewritten) program, so Prepare errors fail the batch.
-  Span prepare_span = tracer.StartSpan("delta.prepare");
-  SqoOptions sqo = job->request.sqo;
-  if (sqo.tracer == nullptr) sqo.tracer = &tracer;
-  bool cache_hit = false;
-  Result<const PreparedProgram*> prepared = session.Prepare(sqo, &cache_hit);
-  prepare_span.SetAttr("cache_hit", cache_hit ? 1 : 0);
-  prepare_span.End();
-  if (!prepared.ok()) {
-    finish(prepared.status());
-    return;
-  }
-
-  Span materialize_span = tracer.StartSpan("delta.materialize");
-  const int64_t materialize_start_ns = NowNs();
-  Result<MaterializedView*> view =
-      session.Materialize(*prepared.value(), job->request.materialize);
-  response.materialize_ns = NowNs() - materialize_start_ns;
-  materialize_span.End();
-  if (!view.ok()) {
-    finish(view.status());
-    return;
-  }
-
-  Span maintain_span = tracer.StartSpan("delta.maintain");
-  const int64_t maintain_start_ns = NowNs();
-  Result<MaintainStats> stats = view.value()->ApplyDelta(job->request.delta);
-  response.maintain_ns = NowNs() - maintain_start_ns;
-  metrics.GetHistogram("service/apply_delta_ns")
-      ->Record(response.maintain_ns);
-  if (!stats.ok()) {
-    maintain_span.End();
-    finish(stats.status());
-    return;
-  }
-  response.stats = stats.value();
-  response.snapshot_version = response.stats.version;
-  maintain_span.SetAttr("version", response.snapshot_version);
-  maintain_span.SetAttr("recomputed", response.stats.recomputed ? 1 : 0);
-  maintain_span.SetAttr("idb_delta", response.stats.idb_inserted +
-                                         response.stats.idb_deleted);
-  maintain_span.End();
-  finish(Status::Ok());
-}
-
 void QueryService::Process(Job* job) {
-  const int64_t start_ns = NowNs();
+  const Kind& kind = *job->kind;
+  const Request& request = job->request;
+  Response& response = job->response;
   MetricsRegistry& metrics = this->metrics();
-  metrics.GetHistogram("service/queue_wait_ns")
-      ->Record(start_ns - job->submit_ns);
-
   Tracer& tracer = job->trace.tracer;
+
+  response.queue_wait_ns = NowNs() - job->submit_ns;
+  metrics.GetHistogram("service/queue_wait_ns")
+      ->Record(response.queue_wait_ns);
   {
     // Retroactive: the wait was observed ending now, having started at
     // submission.
-    Span queue = tracer.StartSpanAt("request.queue", job->submit_ns);
+    Span queue = tracer.StartSpanAt(kind.queue_span, job->submit_ns);
   }
 
-  Response response;
-  response.trace_id = job->trace.trace_id;
-  response.queue_wait_ns = start_ns - job->submit_ns;
-
-  // State the slow-query log reads at finish; filled as the request
-  // advances.
-  const PreparedProgram* prepared_program = nullptr;
-  const MaterializedView* served_view = nullptr;
-  std::vector<RuleProfile> profiles;
-  const bool slow_armed = options_.slow_query_ms >= 0;
-
-  auto finish = [&](Status status) {
-    response.status = std::move(status);
-    switch (response.status.code()) {
-      case StatusCode::kOk:
-        metrics.GetCounter("service/requests_completed")->Increment();
-        break;
-      case StatusCode::kCancelled:
-        metrics.GetCounter("service/requests_cancelled")->Increment();
-        break;
-      case StatusCode::kDeadlineExceeded:
-        metrics.GetCounter("service/requests_deadline_exceeded")->Increment();
-        break;
-      default:
-        metrics.GetCounter("service/requests_failed")->Increment();
-        break;
-    }
-
-    const int64_t total_ns = NowNs() - job->submit_ns;
-    if (!job->request.tenant.empty()) {
-      metrics
-          .GetCounter(TenantMetric(job->request.tenant,
-                                   response.status.ok() ? "completed"
-                                                        : "errors"))
-          ->Increment();
-      metrics.GetHistogram(TenantMetric(job->request.tenant, "latency_ns"))
-          ->Record(total_ns);
-    }
-    job->root_span.SetAttr("status_code",
-                           static_cast<int64_t>(response.status.code()));
-    job->root_span.SetAttr("answers",
-                           static_cast<int64_t>(response.answers.size()));
-    job->root_span.End();
-    if (tracer.enabled()) response.spans = tracer.TakeSpans();
-
-    if (!response.status.ok()) {
-      LogEvent event;
-      event.ts_ns = NowNs();
-      event.trace_id = job->trace.trace_id;
-      event.request_id = job->trace.request_id;
-      event.kind = "request_error";
-      event.fields.emplace_back("code",
-                                static_cast<int64_t>(response.status.code()));
-      event.fields.emplace_back("total_ns", total_ns);
-      event.message = std::string(StatusCodeName(response.status.code())) +
-                      ": " + response.status.message();
-      event_log_.Append(std::move(event));
-    }
-
-    if (slow_armed && total_ns >= options_.slow_query_ms * 1'000'000) {
-      metrics.GetCounter("service/slow_queries")->Increment();
-      LogEvent event;
-      event.ts_ns = NowNs();
-      event.trace_id = job->trace.trace_id;
-      event.request_id = job->trace.request_id;
-      event.kind = "slow_query";
-      event.fields.emplace_back("total_ns", total_ns);
-      event.fields.emplace_back("queue_wait_ns", response.queue_wait_ns);
-      event.fields.emplace_back("prepare_ns", response.prepare_ns);
-      event.fields.emplace_back("execute_ns", response.execute_ns);
-      event.fields.emplace_back(
-          "answers", static_cast<int64_t>(response.answers.size()));
-      if (!response.status.ok()) {
-        event.message = std::string(StatusCodeName(response.status.code())) +
-                        ": " + response.status.message();
-      } else if (prepared_program != nullptr) {
-        ExplainReport explain = BuildExplainReport(
-            prepared_program->report, prepared_program->compiled.get());
-        AttachRuntime(prepared_program->report, response.stats, profiles,
-                      static_cast<int64_t>(response.answers.size()),
-                      response.execute_ns, &explain);
-        if (served_view != nullptr) {
-          AttachMaintenance(served_view->totals(), served_view->last_batch(),
-                            served_view->batches_applied(), &explain);
-        }
-        event.message = explain.Summary();
-      }
-      event_log_.Append(std::move(event));
-    }
-
-    Deliver(job, std::move(response));
-  };
-
-  const CancelToken* cancel = job->request.cancel.get();
-  if (cancel != nullptr && cancel->cancelled()) {
-    finish(Status::Cancelled("request cancelled before execution"));
+  if (request.cancel != nullptr && request.cancel->cancelled()) {
+    Finish(job, Status::Cancelled("request cancelled before execution"));
     return;
   }
   if (job->deadline_ns >= 0 && NowNs() >= job->deadline_ns) {
     metrics.GetCounter("service/requests_expired_in_queue")->Increment();
-    finish(Status::DeadlineExceeded("deadline expired in the queue after " +
-                                    FormatDurationNs(response.queue_wait_ns)));
+    Finish(job, Status::DeadlineExceeded(
+                    "deadline expired in the queue after " +
+                    FormatDurationNs(response.queue_wait_ns)));
     return;
   }
 
-  Span prepare_span = tracer.StartSpan("request.prepare");
+  Span prepare_span = tracer.StartSpan(kind.prepare_span);
   const int64_t prepare_start_ns = NowNs();
   std::shared_ptr<SessionEntry> entry =
-      GetSession(job->request.tenant, job->request.source);
+      GetSession(request.tenant, request.source);
   if (entry->session == nullptr) {
     prepare_span.End();
-    finish(entry->status);
+    Finish(job, entry->status);
     return;
   }
-  Session& session = *entry->session;
 
   // Prepare is single-flight in the session: the first request for this
   // fingerprint runs the Levy–Sagiv pipeline (its "sqo.*" spans landing
   // under this request's prepare span), concurrent ones block on the
   // in-flight entry, later ones hit the cache.
-  SqoOptions sqo = job->request.sqo;
-  if (sqo.tracer == nullptr) sqo.tracer = &tracer;
+  SqoOptions sqo;
+  sqo.disabled_passes = request.disabled_passes;
+  sqo.tracer = &tracer;
   bool cache_hit = false;
-  Result<const PreparedProgram*> prepared = session.Prepare(sqo, &cache_hit);
+  Result<const PreparedProgram*> prepared =
+      entry->session->Prepare(sqo, &cache_hit);
   response.prepare_ns = NowNs() - prepare_start_ns;
   response.prepare_cache_hit = cache_hit;
   metrics.GetHistogram("service/prepare_ns")->Record(response.prepare_ns);
   prepare_span.SetAttr("cache_hit", cache_hit ? 1 : 0);
-  bool fallback = false;
-  if (!prepared.ok()) {
-    if (options_.fallback_to_original &&
-        prepared.status().code() == StatusCode::kUnsupported) {
-      // Outside the rewriting's theory (e.g. IDB negation): serve the
-      // original program rather than failing the request.
-      metrics.GetCounter("service/prepare_fallbacks")->Increment();
-      fallback = true;
-    } else {
-      prepare_span.End();
-      finish(prepared.status());
-      return;
-    }
+  prepare_span.End();
+
+  Finish(job, (this->*kind.run)(job, *entry->session, prepared));
+}
+
+Status QueryService::Answer(Job* job, Session& session,
+                            const Result<const PreparedProgram*>& prepared) {
+  const Request& request = job->request;
+  Response& response = job->response;
+  MetricsRegistry& metrics = this->metrics();
+  Tracer& tracer = job->trace.tracer;
+
+  // Outside the rewriting's theory (e.g. IDB negation) Prepare reports
+  // kUnsupported; SQO is an optimization, so the request is answered by
+  // evaluating the original program P.
+  const bool fallback =
+      !prepared.ok() && prepared.status().code() == StatusCode::kUnsupported;
+  if (fallback) {
+    metrics.GetCounter("service/prepare_fallbacks")->Increment();
+  } else if (!prepared.ok()) {
+    return prepared.status();
   } else {
-    prepared_program = prepared.value();
-    for (const PassRunInfo& info : prepared_program->report.pass_runs) {
+    job->prepared = prepared.value();
+    for (const PassRunInfo& info : job->prepared->report.pass_runs) {
       if (info.ran()) ++response.passes_ran;
     }
   }
-  prepare_span.End();
 
   // Load-only requests (the front-end's LoadProgram) stop here: the unit
   // parsed and the optimizer pipeline ran (or the fallback was noted), so
   // later queries on this session hit the plan cache.
-  if (job->request.load_only) {
+  if (request.load_only) {
     response.optimized = !fallback;
     response.snapshot_version = 0;
-    finish(Status::Ok());
-    return;
+    return Status::Ok();
   }
 
   // Materialized-view fast path: copy the warm answers out under the
   // view's shared lock instead of evaluating. The first such request pays
   // the initial fixpoint (inside Materialize); the fallback path cannot
   // serve from a view (no prepared program), so it evaluates below.
-  if (job->request.materialized && !fallback) {
+  if (request.materialized && !fallback) {
+    // Delta batches prepare under the default passes, so they maintain
+    // only that view; the view of an ablated plan would never move.
+    if (!request.disabled_passes.empty()) {
+      return Status::InvalidArgument(
+          "disabled_passes cannot apply to a view-served query: delta "
+          "batches maintain only the session's default view");
+    }
     Span view_span = tracer.StartSpan("request.view");
     const int64_t exec_start_ns = NowNs();
-    Result<MaterializedView*> view =
-        session.Materialize(*prepared.value(), job->request.materialize);
-    if (!view.ok()) {
-      view_span.End();
-      finish(view.status());
-      return;
-    }
-    served_view = view.value();
-    response.answers = served_view->Answers(&response.snapshot_version);
+    Result<MaterializedView*> view = session.Materialize(*job->prepared);
+    if (!view.ok()) return view.status();
+    job->view = view.value();
+    response.answers = job->view->Answers(&response.snapshot_version);
     response.execute_ns = NowNs() - exec_start_ns;
     metrics.GetHistogram("service/execute_ns")->Record(response.execute_ns);
     metrics.GetCounter("service/view_serves")->Increment();
@@ -688,15 +527,14 @@ void QueryService::Process(Job* job) {
     view_span.End();
     response.served_from_view = true;
     response.optimized = true;
-    if (job->request.want_explain) {
+    if (request.want_explain) {
       ExplainReport explain = BuildExplainReport(
-          prepared_program->report, prepared_program->compiled.get());
-      AttachMaintenance(served_view->totals(), served_view->last_batch(),
-                        served_view->batches_applied(), &explain);
+          job->prepared->report, job->prepared->compiled.get());
+      AttachMaintenance(job->view->totals(), job->view->last_batch(),
+                        job->view->batches_applied(), &explain);
       response.explain_json = explain.ToJson();
     }
-    finish(Status::Ok());
-    return;
+    return Status::Ok();
   }
 
   // Every request reads the session's frozen shared base snapshot — the
@@ -704,59 +542,132 @@ void QueryService::Process(Job* job) {
   // builds safe; evaluation writes only to its own IDB/delta relations.
   const Database& edb = session.SharedEdb();
 
-  EvalOptions eval = job->request.eval;
-  eval.cancel = cancel;
-  if (job->deadline_ns >= 0 &&
-      (eval.deadline_ns < 0 || job->deadline_ns < eval.deadline_ns)) {
-    eval.deadline_ns = job->deadline_ns;
-  }
-  if (eval.tracer == nullptr) eval.tracer = &tracer;
-  // Service-level default intra-query parallelism; a request that set its
-  // own thread count keeps it.
-  if (eval.threads <= 1 && options_.eval_threads > 1) {
-    eval.threads = options_.eval_threads;
-  }
+  const bool slow_armed = options_.slow_query_ms >= 0;
+  EvalOptions eval;
+  eval.cancel = request.cancel.get();
+  eval.deadline_ns = job->deadline_ns;
+  eval.tracer = &tracer;
+  eval.threads = options_.eval_threads;
   ParallelEvalStats parallel_stats;
-  if (job->request.want_explain && eval.parallel_stats == nullptr) {
-    eval.parallel_stats = &parallel_stats;
-  }
+  if (request.want_explain) eval.parallel_stats = &parallel_stats;
   // Per-rule profiles feed the slow-query log's EXPLAIN summary and the
   // traced response; untraced fast-path requests skip the clock reads.
-  const bool want_profiles = slow_armed || job->request.trace ||
-                             eval.profile_rules ||
-                             job->request.want_explain;
-  if (slow_armed) eval.profile_rules = true;
+  eval.profile_rules = slow_armed;
+  std::vector<RuleProfile>* profiles =
+      slow_armed || request.trace || request.want_explain ? &job->profiles
+                                                          : nullptr;
 
   Span execute_span = tracer.StartSpan("request.execute");
   const int64_t exec_start_ns = NowNs();
   Result<std::vector<Tuple>> answers =
-      fallback ? session.ExecuteOriginal(edb, eval, &response.stats,
-                                         want_profiles ? &profiles : nullptr)
-               : session.Execute(*prepared.value(), edb, eval, &response.stats,
-                                 want_profiles ? &profiles : nullptr);
+      fallback ? session.ExecuteOriginal(edb, eval, &response.stats, profiles)
+               : session.Execute(*job->prepared, edb, eval, &response.stats,
+                                 profiles);
   response.execute_ns = NowNs() - exec_start_ns;
   metrics.GetHistogram("service/execute_ns")->Record(response.execute_ns);
   execute_span.End();
 
-  if (!answers.ok()) {
-    finish(answers.status());
-    return;
-  }
+  if (!answers.ok()) return answers.status();
   response.answers = std::move(answers).value();
   response.optimized = !fallback;
   response.snapshot_version = 0;  // the immutable base snapshot
-  if (job->request.want_explain && prepared_program != nullptr) {
-    ExplainReport explain = BuildExplainReport(
-        prepared_program->report, prepared_program->compiled.get());
-    AttachRuntime(prepared_program->report, response.stats, profiles,
+  if (request.want_explain && job->prepared != nullptr) {
+    ExplainReport explain = BuildExplainReport(job->prepared->report,
+                                               job->prepared->compiled.get());
+    AttachRuntime(job->prepared->report, response.stats, job->profiles,
                   static_cast<int64_t>(response.answers.size()),
                   response.execute_ns, &explain);
-    if (eval.parallel_stats != nullptr) {
-      AttachParallel(*eval.parallel_stats, &explain);
-    }
+    AttachParallel(parallel_stats, &explain);
     response.explain_json = explain.ToJson();
   }
-  finish(Status::Ok());
+  return Status::Ok();
+}
+
+Status QueryService::Maintain(Job* job, Session& session,
+                              const Result<const PreparedProgram*>& prepared) {
+  // Maintenance has no original-program fallback: a view exists only for a
+  // prepared (rewritten) program, so Prepare errors fail the batch.
+  if (!prepared.ok()) return prepared.status();
+  DeltaResponse& batch = job->batch;
+  Tracer& tracer = job->trace.tracer;
+
+  Span materialize_span = tracer.StartSpan("delta.materialize");
+  const int64_t materialize_start_ns = NowNs();
+  Result<MaterializedView*> view = session.Materialize(*prepared.value());
+  batch.materialize_ns = NowNs() - materialize_start_ns;
+  materialize_span.End();
+  if (!view.ok()) return view.status();
+
+  Span maintain_span = tracer.StartSpan("delta.maintain");
+  const int64_t maintain_start_ns = NowNs();
+  Result<MaintainStats> stats = view.value()->ApplyDelta(job->delta);
+  batch.maintain_ns = NowNs() - maintain_start_ns;
+  metrics().GetHistogram("service/apply_delta_ns")->Record(batch.maintain_ns);
+  if (!stats.ok()) return stats.status();
+  batch.stats = stats.value();
+  job->response.snapshot_version = batch.stats.version;
+  maintain_span.SetAttr("version", batch.stats.version);
+  maintain_span.SetAttr("recomputed", batch.stats.recomputed ? 1 : 0);
+  maintain_span.SetAttr("idb_delta",
+                        batch.stats.idb_inserted + batch.stats.idb_deleted);
+  return Status::Ok();
+}
+
+void QueryService::Finish(Job* job, Status status) {
+  const Kind& kind = *job->kind;
+  const std::string& tenant = job->request.tenant;
+  Response& response = job->response;
+  MetricsRegistry& metrics = this->metrics();
+  Tracer& tracer = job->trace.tracer;
+
+  response.status = std::move(status);
+  const StatusCode code = response.status.code();
+  const char* outcome = kind.failed;
+  if (code == StatusCode::kOk) outcome = kind.completed;
+  if (code == StatusCode::kCancelled) outcome = kind.cancelled;
+  if (code == StatusCode::kDeadlineExceeded) outcome = kind.deadline_exceeded;
+  metrics.GetCounter(outcome)->Increment();
+
+  const int64_t total_ns = NowNs() - job->submit_ns;
+  if (!tenant.empty()) {
+    metrics
+        .GetCounter(TenantMetric(tenant, response.status.ok() ? "completed"
+                                                              : "errors"))
+        ->Increment();
+    metrics.GetHistogram(TenantMetric(tenant, "latency_ns"))->Record(total_ns);
+  }
+
+  // Slow requests (and slow maintenance batches) land in the event ring,
+  // joinable with their span tree by trace id.
+  const bool is_slow = options_.slow_query_ms >= 0 &&
+                       total_ns >= options_.slow_query_ms * 1'000'000;
+  LogEvent slow = RequestEvent(job->trace, kind.slow_event);
+  if (is_slow) {
+    slow.fields.emplace_back("total_ns", total_ns);
+    slow.fields.emplace_back("queue_wait_ns", response.queue_wait_ns);
+  }
+  job->root_span.SetAttr("status_code", static_cast<int64_t>(code));
+  kind.report(*job, job->root_span, is_slow ? &slow : nullptr);
+  job->root_span.End();
+  if (tracer.enabled()) response.spans = tracer.TakeSpans();
+
+  if (!response.status.ok()) {
+    const std::string message = std::string(StatusCodeName(code)) + ": " +
+                                response.status.message();
+    LogEvent event = RequestEvent(job->trace, "request_error");
+    event.fields.emplace_back("code", static_cast<int64_t>(code));
+    event.fields.emplace_back("total_ns", total_ns);
+    if (kind.delta_event) event.fields.emplace_back("delta", 1);
+    event.message = message;
+    event_log_.Append(std::move(event));
+    slow.message = message;
+  }
+  if (is_slow) {
+    metrics.GetCounter("service/slow_queries")->Increment();
+    event_log_.Append(std::move(slow));
+  }
+
+  job->deliver(*job);
 }
 
 }  // namespace sqod

@@ -30,6 +30,12 @@ namespace sqod {
 // trigger exactly one optimizer pipeline run — the Levy–Sagiv rewriting
 // cost is paid once and amortized across every request that follows.
 //
+// Queries, loads, explains and delta batches share one request lifecycle:
+// admission (Submit / ApplyDelta), queue wait, session lookup plus
+// Prepare, a terminal step (evaluate, read the view, or maintain), and one
+// finish step for the counters, spans and events. The kinds differ only in
+// their metric, span and event names, slow-event fields and terminal step.
+//
 // Request lifecycle and its observable failure modes:
 //   Submit ── queue full ────────────────→ kResourceExhausted (rejected)
 //         ─── after Shutdown ────────────→ kFailedPrecondition (rejected)
@@ -41,15 +47,8 @@ namespace sqod {
 //               token or the deadline ───→ kCancelled / kDeadlineExceeded
 //               otherwise ──────────────→ kOk with the sorted answers
 //
-// Per-request observability (in metrics(), exported like all registries):
-//   service/requests_accepted / _rejected / _cancelled /
-//   _deadline_exceeded / _completed / _failed     counters
-//   service/requests_rejected_queue_full / _rejected_shutdown
-//   service/requests_expired_in_queue             deadline passed queued
-//   service/prepare_fallbacks                     kUnsupported → original
-//   service/slow_queries                          over slow_query_ms
-//   service/queue_wait_ns, service/prepare_ns, service/execute_ns
-//                                                 latency histograms
+// The service/... and tenant/<name>/... metrics each kind publishes are
+// listed in docs/serving.md and docs/observability.md.
 //
 // Request-scoped tracing: every submitted request gets a TraceContext (a
 // process-unique trace id plus a per-request Tracer). With Request::trace
@@ -69,25 +68,19 @@ namespace sqod {
 struct ServiceOptions {
   // Worker threads executing requests.
   int threads = 4;
-  // Default intra-query parallelism (EvalOptions::threads) applied to
-  // requests that leave Request::eval.threads at 1; a request that sets its
-  // own value keeps it. Partition tasks run on the engine's shared eval
-  // executor (Engine::eval_executor), never on the request workers above —
-  // mixing them could deadlock once every worker waits on subtasks with no
-  // thread left to run them. 1 = serial evaluation (the default).
+  // Intra-query parallelism (EvalOptions::threads) of every evaluation.
+  // Partition tasks run on the engine's shared eval executor
+  // (Engine::eval_executor), never on the request workers above — mixing
+  // them could deadlock once every worker waits on subtasks with no thread
+  // left to run them. 1 = serial evaluation (the default).
   int eval_threads = 1;
   // Admission limit: maximum requests waiting for a worker (running
   // requests don't count). 0 = unbounded.
   size_t max_queue = 256;
   // External metrics sink; the service's engine owns a private registry
-  // when null. No tracer knob: the Tracer is single-threaded by design, so
-  // the serving layer never traces (use the single-request CLI path for
-  // span trees).
+  // when null. No tracer knob: tracing is per request (Request::trace,
+  // DeltaRequest::trace), each with its own single-threaded Tracer.
   MetricsRegistry* metrics = nullptr;
-  // When a program is outside the rewriting's theory (Prepare returns
-  // kUnsupported, e.g. IDB negation), evaluate the original program
-  // instead of failing the request.
-  bool fallback_to_original = true;
 
   // Slow-query log threshold, in milliseconds of end-to-end latency (queue
   // wait + prepare + execute). Requests at or over it produce a
@@ -120,11 +113,11 @@ struct Request {
   // programs, and non-empty tenants get tenant/<name>/... counters and
   // latency histograms next to the service/... ones. "" = untenanted.
   std::string tenant;
-  // Optimizer options; part of the prepared-program fingerprint.
-  SqoOptions sqo;
-  // Evaluation options. The service fills in cancel/deadline_ns (and the
-  // engine fills in metrics), the rest is honored as given.
-  EvalOptions eval;
+  // Optimizer passes to switch off (SqoOptions::disabled_passes); part of
+  // the prepared-program fingerprint. A program outside the rewriting's
+  // theory (Prepare returns kUnsupported, e.g. IDB negation) is always
+  // answered by evaluating the original program P instead.
+  std::vector<std::string> disabled_passes;
   // Relative deadline from submission, in milliseconds. 0 is already
   // expired (useful for testing the deadline path); -1 = no deadline.
   int64_t deadline_ms = -1;
@@ -141,10 +134,9 @@ struct Request {
   // ones copy the warm answers out under a shared lock. Combine with
   // ApplyDelta to keep the view current as the EDB changes. Ignored (a
   // normal evaluation runs) when the program needed the kUnsupported
-  // fallback. `materialize` configures the view when this request is the
-  // one that builds it.
+  // fallback. Delta batches maintain only the view of the default passes,
+  // so a view-served request with disabled_passes is kInvalidArgument.
   bool materialized = false;
-  MaterializeOptions materialize;
   // Validate and warm only: parse the unit (single-flight per session) and
   // run Prepare, then finish without executing. The network front-end's
   // LoadProgram maps here — the optimizer pipeline runs once at load time
@@ -187,21 +179,17 @@ struct Response {
   std::string explain_json;
 };
 
-// One batch of EDB changes against a session's materialized view.
-// Admission, queueing, tracing, and the slow-query log mirror Request; the
-// worker prepares the program (cache hit after the first), materializes the
-// view if this is the first touch, and applies the batch.
+// One batch of EDB changes against a session's materialized view. It goes
+// through the same admission, queueing, tracing and slow log as a Request;
+// the worker prepares the program under the default passes (cache hit
+// after the first), materializes the view if this is the first touch, and
+// applies the batch. There is no fallback to P, no deadline and no cancel.
 struct DeltaRequest {
   // The datalog unit whose view to maintain; requests with byte-identical
-  // sources share one session, and therefore one view per fingerprint.
+  // sources share one session, and therefore one view.
   std::string source;
   // Tenant namespace, as in Request::tenant.
   std::string tenant;
-  // Optimizer options; part of the prepared-program fingerprint.
-  SqoOptions sqo;
-  // View construction/maintenance options (first touch only, like
-  // Request::materialize).
-  MaterializeOptions materialize;
   // The facts to delete and insert (deletes first; see FactDelta).
   FactDelta delta;
   // Collect the span tree (admission → queue → materialize → maintain).
@@ -233,38 +221,37 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  // Admission-controlled, non-blocking submit. The returned future is
-  // always valid; rejected requests (queue full, shut down, invalid
-  // deadline) resolve immediately with the rejection status.
-  std::future<Response> Submit(Request request);
-
-  // Callback-style submit for transports that must never block: `done`
-  // runs on the worker thread that completed the request, or on the
-  // submitting thread for immediate rejections. Exactly one invocation per
-  // submit, rejection included.
+  // Admission-controlled, non-blocking submit: `done` runs on the worker
+  // thread that completed the request, or on the submitting thread for
+  // immediate rejections (queue full, shut down, invalid deadline). Exactly
+  // one invocation per submit, rejection included.
   void Submit(Request request, std::function<void(Response)> done);
+
+  // Future-style Submit; the future is always valid.
+  std::future<Response> Submit(Request request);
 
   // Convenience: Submit and wait.
   Response Call(Request request);
 
-  // Admission-controlled submit of one maintenance batch. Batches share
-  // the worker pool and admission queue with queries; batches against the
-  // same view serialize on the view's writer lock while readers of other
-  // views (and queries) proceed. Observability mirrors Submit:
-  // service/delta_batches{,_rejected,_failed} counters, the
-  // service/apply_delta_ns latency histogram, and — past slow_query_ms —
-  // a "slow_delta" event-log entry joinable with spans by trace id.
-  std::future<DeltaResponse> ApplyDelta(DeltaRequest request);
-
-  // Callback-style ApplyDelta, mirroring the callback Submit.
+  // Admission-controlled submit of one maintenance batch, delivered like
+  // Submit. Batches share the worker pool and admission queue with
+  // queries; batches against the same view serialize on the view's writer
+  // lock while readers of other views (and queries) proceed. Observability
+  // mirrors Submit: service/delta_batches{,_rejected,_completed,_failed}
+  // counters, the service/apply_delta_ns latency histogram, and — past
+  // slow_query_ms — a "slow_delta" event-log entry joinable with spans by
+  // trace id.
   void ApplyDelta(DeltaRequest request,
                   std::function<void(DeltaResponse)> done);
+
+  // Future-style ApplyDelta.
+  std::future<DeltaResponse> ApplyDelta(DeltaRequest request);
 
   // Convenience: ApplyDelta and wait.
   DeltaResponse CallApplyDelta(DeltaRequest request);
 
   // Stops admission, drains queued and in-flight requests, joins the
-  // workers. Every future obtained from Submit is ready afterwards.
+  // workers. Every callback has run (every future is ready) afterwards.
   // Idempotent; also run by the destructor.
   void Shutdown();
 
@@ -286,43 +273,29 @@ class QueryService {
     std::unique_ptr<Session> session;
   };
 
-  struct Job {
-    Request request;
-    // Exactly one of the two delivery paths is used: the promise (future
-    // API) or the callback (transport API). Deliver() dispatches.
-    std::promise<Response> promise;
-    std::function<void(Response)> callback;
-    int64_t submit_ns = 0;
-    int64_t deadline_ns = -1;  // absolute, NowNs() scale
-    // Request-scoped telemetry: the trace id / span collector, and the
-    // root "request" span (opened at Submit, closed when the response is
-    // fulfilled). The embedded Tracer is touched by the submitting thread
-    // only before the pool handoff, and by the owning worker only after —
-    // the pool's queue is the happens-before edge between the two.
-    TraceContext trace;
-    Span root_span;
-  };
-
-  struct DeltaJob {
-    DeltaRequest request;
-    std::promise<DeltaResponse> promise;
-    std::function<void(DeltaResponse)> callback;
-    int64_t submit_ns = 0;
-    TraceContext trace;
-    Span root_span;
-  };
+  // What differs between a query and a delta batch (names, terminal step,
+  // slow-event fields), and one request of either kind in flight; both are
+  // defined in query_service.cc.
+  struct Kind;
+  struct Job;
 
   // Session lookup key: tenant-qualified source text.
   std::shared_ptr<SessionEntry> GetSession(const std::string& tenant,
                                            const std::string& source);
-  // Builds the job (trace context, deadline validation, admission spans)
-  // and hands it to the pool; delivers the rejection inline on failure.
-  void SubmitJob(std::shared_ptr<Job> job);
-  void SubmitDeltaJob(std::shared_ptr<DeltaJob> job);
-  static void Deliver(Job* job, Response response);
-  static void Deliver(DeltaJob* job, DeltaResponse response);
+  // The lifecycle every job goes through. Admit opens the trace, converts
+  // the deadline and hands the job to the pool, finishing rejections
+  // inline; Process runs on the worker: queue wait, the cancel and
+  // deadline checks, session lookup plus Prepare, then the kind's terminal
+  // step; Finish does the outcome bookkeeping and delivers.
+  void Admit(std::shared_ptr<Job> job);
   void Process(Job* job);
-  void ProcessDelta(DeltaJob* job);
+  void Finish(Job* job, Status status);
+  // Terminal steps. Answer loads, reads the view or evaluates (P when
+  // Prepare reported kUnsupported); Maintain applies a delta batch.
+  Status Answer(Job* job, Session& session,
+                const Result<const PreparedProgram*>& prepared);
+  Status Maintain(Job* job, Session& session,
+                  const Result<const PreparedProgram*>& prepared);
   // `prev` is the baseline the first window diffs against; captured by the
   // constructor before any request can arrive, so the first published
   // delta covers everything since service start even when the OS schedules

@@ -247,6 +247,42 @@ TEST(NetTest, NamedSessionServesFromViewAndDeltasAdvanceVersion) {
   server.Stop();
 }
 
+// Delta batches maintain the view of the default passes only. A view read
+// under disabled_passes would prepare its own plan and read a view no batch
+// ever reaches (stale answers at an old version), so it is refused; the
+// same ablation on an inline one-shot still evaluates.
+TEST(NetTest, AblatedViewReadIsRejectedNotStale) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Result<Client> connected = ConnectAs(server, "");
+  ASSERT_TRUE(connected.ok());
+  Client& client = connected.value();
+  ASSERT_TRUE(client.LoadProgram("tc", kChain).ok());
+  Result<DeltaResponse> d1 = client.ApplyDelta("tc", {"step(3, 4)"}, {});
+  ASSERT_TRUE(d1.ok());
+  ASSERT_TRUE(d1.value().status.ok()) << d1.value().status.message();
+  ASSERT_EQ(d1.value().snapshot_version, 1);
+
+  QueryParams params;
+  params.session = "tc";
+  params.disabled_passes = {"residues"};
+  Result<Response> ablated = client.Query(params);
+  ASSERT_TRUE(ablated.ok());
+  EXPECT_EQ(ablated.value().status.code(), StatusCode::kInvalidArgument)
+      << ablated.value().answers.size() << " answers at version "
+      << ablated.value().snapshot_version;
+
+  params.session.clear();
+  params.source = kChain;
+  Result<Response> one_shot = client.Query(params);
+  ASSERT_TRUE(one_shot.ok());
+  ASSERT_TRUE(one_shot.value().status.ok())
+      << one_shot.value().status.message();
+  EXPECT_EQ(one_shot.value().answers.size(), 3u);
+  EXPECT_TRUE(client.Close().ok());
+  server.Stop();
+}
+
 TEST(NetTest, UnknownSessionIsNonFatal) {
   Server server(ServerOptions{});
   ASSERT_TRUE(server.Start().ok());

@@ -1,6 +1,7 @@
 // Tests for the concurrent query-serving runtime: the ThreadPool's bounded
 // admission and graceful drain, and the QueryService's single-flight
-// prepare, deadlines, cancellation, fallback, and per-request metrics.
+// prepare, deadlines, cancellation, fallback, the delta path, and
+// per-request metrics.
 // These are the tests CI also runs under ThreadSanitizer.
 
 #include <gtest/gtest.h>
@@ -322,20 +323,33 @@ TEST(ServiceTest, UnsupportedProgramFallsBackToOriginal) {
   EXPECT_EQ(ServiceCounter(service, "service/requests_completed"), 1);
 }
 
-TEST(ServiceTest, FallbackCanBeDisabled) {
+// Distinct programs prepare on different workers at once: every optimizer
+// pipeline mints fresh variables from the process-wide FreshVarGen, so under
+// TSan this is the check that fresh-name generation is race-free.
+TEST(ServiceTest, ConcurrentPreparesOfDistinctPrograms) {
   ServiceOptions options;
-  options.fallback_to_original = false;
+  options.threads = 4;
   QueryService service(options);
-  Request request;
-  request.source = R"(
-    q(X) :- e(X, Y).
-    p(X) :- e(X, Y), !q(Y).
-    e(1, 2).
-    ?- p.
-  )";
-  Response response = service.Call(std::move(request));
-  EXPECT_EQ(response.status.code(), StatusCode::kUnsupported);
-  EXPECT_EQ(ServiceCounter(service, "service/requests_failed"), 1);
+
+  constexpr int kPrograms = 8;
+  std::vector<std::future<Response>> futures;
+  for (int i = 0; i < kPrograms; ++i) {
+    Request request;
+    request.source = std::string(kFigure1) + "c(" + std::to_string(i) + ").\n";
+    futures.push_back(service.Submit(std::move(request)));
+  }
+  std::vector<Response> responses;
+  for (std::future<Response>& future : futures) {
+    responses.push_back(future.get());
+  }
+  for (const Response& response : responses) {
+    ASSERT_TRUE(response.status.ok()) << response.status.message();
+    EXPECT_TRUE(response.optimized);
+    EXPECT_FALSE(response.prepare_cache_hit);
+    EXPECT_EQ(response.answers, responses[0].answers);
+  }
+  EXPECT_EQ(service.metrics().GetCounter("engine/pipeline_runs")->value(),
+            kPrograms);
 }
 
 TEST(ServiceTest, DistinctSourcesGetDistinctSessions) {
@@ -621,6 +635,99 @@ TEST(ServiceTest, ShutdownResolvesEveryFutureNoMatterTheRace) {
     }
     EXPECT_EQ(completed + rejected, 16);
   }
+}
+
+// ------------------------------------------------------------ delta path
+
+TEST(ServiceTest, DeltaBatchOnAFullQueueIsRejected) {
+  ServiceOptions options;
+  options.threads = 1;
+  options.max_queue = 1;
+  QueryService service(options);
+
+  // Park the single worker inside a completion callback (callbacks run on
+  // the worker), then fill the one queue slot: the queue state is exact.
+  std::promise<void> running;
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  Request parked;
+  parked.source = kFigure1;
+  service.Submit(std::move(parked), [&running, opened](Response) {
+    running.set_value();
+    opened.wait();
+  });
+  running.get_future().wait();
+  Request queued;
+  queued.source = kFigure1;
+  std::future<Response> queued_done = service.Submit(std::move(queued));
+  ASSERT_EQ(service.queue_depth(), 1u);
+
+  DeltaRequest batch;
+  batch.source = MakeChainSource(5);
+  batch.tenant = "acme";
+  Result<Atom> fact = ParseAtomText("step(5, 6)");
+  ASSERT_TRUE(fact.ok());
+  batch.delta.inserts.push_back(fact.take());
+  DeltaResponse rejected = service.CallApplyDelta(std::move(batch));
+  EXPECT_EQ(rejected.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(rejected.trace_id, 0u);
+  EXPECT_EQ(rejected.snapshot_version, -1);
+
+  gate.set_value();
+  EXPECT_TRUE(queued_done.get().status.ok());
+  service.Shutdown();
+
+  EXPECT_EQ(ServiceCounter(service, "service/delta_batches_rejected"), 1);
+  EXPECT_EQ(ServiceCounter(service, "service/delta_batches"), 0);
+  EXPECT_EQ(ServiceCounter(service, "tenant/acme/rejected"), 1);
+  EXPECT_EQ(ServiceCounter(service, "service/requests_rejected"), 0);
+  // The rejected batch contributes its 0 queue-wait sample next to the two
+  // queries' samples: the distribution covers every submitted request.
+  HistogramSnapshot waits =
+      service.metrics().GetHistogram("service/queue_wait_ns")->Snapshot();
+  EXPECT_EQ(waits.count, 3);
+  EXPECT_EQ(waits.min, 0);
+  std::vector<LogEvent> events =
+      service.event_log().EventsOfKind("request_rejected");
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].trace_id, rejected.trace_id);
+}
+
+TEST(ServiceTest, DeltaBatchAfterShutdownFailsPrecondition) {
+  QueryService service;
+  service.Shutdown();
+  DeltaRequest batch;
+  batch.source = MakeChainSource(5);
+  DeltaResponse response = service.CallApplyDelta(std::move(batch));
+  EXPECT_EQ(response.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(ServiceCounter(service, "service/delta_batches_rejected"), 1);
+  EXPECT_EQ(ServiceCounter(service, "service/requests_rejected_shutdown"),
+            0);
+}
+
+TEST(ServiceTest, DeltaBatchNamingAnIdbPredicateFails) {
+  QueryService service;
+  DeltaRequest batch;
+  batch.source = MakeChainSource(5);
+  Result<Atom> fact = ParseAtomText("path(0, 9)");
+  ASSERT_TRUE(fact.ok());
+  batch.delta.inserts.push_back(fact.take());
+  DeltaResponse response = service.CallApplyDelta(std::move(batch));
+  EXPECT_EQ(response.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(response.snapshot_version, -1);
+  EXPECT_EQ(ServiceCounter(service, "service/delta_batches"), 1);
+  EXPECT_EQ(ServiceCounter(service, "service/delta_batches_failed"), 1);
+  EXPECT_EQ(ServiceCounter(service, "service/delta_batches_completed"), 0);
+
+  std::vector<LogEvent> errors =
+      service.event_log().EventsOfKind("request_error");
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_EQ(errors[0].trace_id, response.trace_id);
+  bool tagged_delta = false;
+  for (const auto& [key, value] : errors[0].fields) {
+    if (key == "delta") tagged_delta = value == 1;
+  }
+  EXPECT_TRUE(tagged_delta);
 }
 
 // ------------------------------------------------------ randomized stress
