@@ -171,9 +171,6 @@ IvmWorkload MakeTcWorkload(int nodes, int churn_per_mille) {
 // full-recompute path when `force_recompute` is set.
 void RunChurn(benchmark::State& state, const IvmWorkload& w,
               bool force_recompute) {
-  MaterializedState ms;
-  ms.edb = w.edb;
-  ms.edb.EnableVersioning(0);
   Result<MaintenancePlan> plan = BuildMaintenancePlan(w.program);
   SQOD_CHECK_MSG(plan.ok(), plan.status().message().c_str());
 
@@ -181,12 +178,10 @@ void RunChurn(benchmark::State& state, const IvmWorkload& w,
   options.force_recompute = force_recompute;
   options.recompute_fraction = 1e9;  // pair stays pure: no silent fallback
 
-  Evaluator evaluator(w.program, options.eval);
-  Result<Database> idb = evaluator.Evaluate(ms.edb);
-  SQOD_CHECK_MSG(idb.ok(), idb.status().message().c_str());
-  ms.idb = idb.take();
-  ms.idb.EnableVersioning(0);
-  InitializeDerivationCounts(w.program, plan.value(), &ms);
+  Result<MaterializedState> built =
+      MaterializeState(w.program, plan.value(), w.edb, options.eval);
+  SQOD_CHECK_MSG(built.ok(), built.status().message().c_str());
+  MaterializedState ms = built.take();
 
   MaintainStats totals;
   bool flip = false;

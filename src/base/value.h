@@ -10,6 +10,11 @@
 
 namespace sqod {
 
+// The widest atom, and so the widest tuple, the system accepts: relations
+// address columns through 64-bit probe masks. The parser rejects wider
+// atoms, so no program text can reach the storage limit.
+inline constexpr int kMaxArity = 64;
+
 // A database constant: either a 64-bit integer or an interned symbol.
 // Values carry the dense total order used by order atoms: integers compare
 // numerically, symbols compare lexicographically, and every integer precedes

@@ -35,32 +35,14 @@ ExplainReport BuildExplainReport(const SqoReport& report,
     out.compiled = true;
     out.compile_ns = compiled->compile_ns;
     out.total_ops = compiled->total_ops;
-    out.kernels.reserve(compiled->plans.size());
-    for (const CompiledProgram::PlanInfo& plan : compiled->plans) {
-      ExplainKernelRow row;
-      row.rule_index = plan.rule_index;
-      row.delta_subgoal = plan.delta_subgoal;
-      row.kernel = KernelName(plan.kernel);
-      row.op_count = plan.op_count;
-      out.kernels.push_back(std::move(row));
-    }
+    compiled->ForEachRule([&](const CompiledRule& cr) {
+      out.kernels.push_back({cr.rule_index, cr.delta_subgoal,
+                             KernelName(cr.kernel), cr.op_count()});
+    });
   }
+  out.passes = report.pass_runs;
   for (const PassRunInfo& info : report.pass_runs) {
-    ExplainPassRow row;
-    row.name = info.name;
-    row.ran = info.ran();
-    row.disabled = info.disabled;
-    row.wall_ns = info.wall_ns;
-    row.rules_before = info.rules_before;
-    row.rules_after = info.rules_after;
-    row.literals_before = info.literals_before;
-    row.literals_after = info.literals_after;
-    row.negations_before = info.negations_before;
-    row.negations_after = info.negations_after;
-    row.comparisons_before = info.comparisons_before;
-    row.comparisons_after = info.comparisons_after;
     out.optimize_ns += info.wall_ns;
-    out.passes.push_back(std::move(row));
   }
   out.adorned_predicates = report.adorned_predicates;
   out.adorned_rules = report.adorned_rules;
@@ -170,10 +152,10 @@ std::string ExplainReport::ToText() const {
     out += h;
     out += '\n';
   }
-  for (const ExplainPassRow& row : passes) {
+  for (const PassRunInfo& row : passes) {
     std::string line = row.name;
     PadTo(kName, &line);
-    if (!row.ran) {
+    if (!row.ran()) {
       line += row.disabled ? "disabled" : "skipped";
       while (!line.empty() && line.back() == ' ') line.pop_back();
       out += line;
@@ -322,12 +304,12 @@ std::string ExplainReport::ToText() const {
 std::string ExplainReport::ToJson() const {
   std::string out = "{\"passes\":[";
   bool first = true;
-  for (const ExplainPassRow& row : passes) {
+  for (const PassRunInfo& row : passes) {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"" + JsonEscape(row.name) + "\"";
     out += ",\"ran\":";
-    out += row.ran ? "true" : "false";
+    out += row.ran() ? "true" : "false";
     out += ",\"disabled\":";
     out += row.disabled ? "true" : "false";
     out += ",\"wall_ns\":" + std::to_string(row.wall_ns);

@@ -19,26 +19,6 @@ namespace sqod {
 // derivations, and wall time against the rule text each profile refers to.
 // `sqo_cli --explain` prints ToText(); `--analyze=FILE` writes ToJson().
 
-// One pipeline pass: the shape it saw, the shape it left, and the deltas.
-struct ExplainPassRow {
-  std::string name;
-  bool ran = false;
-  bool disabled = false;  // vs structurally skipped
-  int64_t wall_ns = 0;
-
-  int rules_before = 0, rules_after = 0;
-  int literals_before = 0, literals_after = 0;
-  int negations_before = 0, negations_after = 0;
-  int comparisons_before = 0, comparisons_after = 0;
-
-  int rules_delta() const { return rules_after - rules_before; }
-  int literals_delta() const { return literals_after - literals_before; }
-  int negations_delta() const { return negations_after - negations_before; }
-  int comparisons_delta() const {
-    return comparisons_after - comparisons_before;
-  }
-};
-
 // One rewritten rule joined with its runtime profile. `profile` fields are
 // zero until AttachRuntime matches an executed RuleProfile to the rule.
 struct ExplainRuleRow {
@@ -60,7 +40,7 @@ struct ExplainKernelRow {
 
 struct ExplainReport {
   // --- plan side (always present) ---
-  std::vector<ExplainPassRow> passes;
+  std::vector<PassRunInfo> passes;  // one per pipeline pass
   int adorned_predicates = 0;
   int adorned_rules = 0;
   int tree_classes = 0;

@@ -21,27 +21,19 @@ Database CopyLive(const Database& db) {
 }  // namespace
 
 Result<std::unique_ptr<MaterializedView>> MaterializedView::Create(
-    const PreparedProgram& prepared, const Database& base) {
+    const PreparedProgram& prepared, Database base) {
   Result<MaintenancePlan> plan = BuildMaintenancePlan(prepared.program());
   if (!plan.ok()) return plan.status();
+  EvalOptions eval;
+  eval.compiled = prepared.compiled.get();
+  Result<MaterializedState> state = MaterializeState(
+      prepared.program(), plan.value(), std::move(base), eval);
+  if (!state.ok()) return state.status();
 
   auto view = std::unique_ptr<MaterializedView>(new MaterializedView());
   view->prepared_ = &prepared;
-  view->plan_ = std::move(plan).value();
-
-  view->state_.edb = base;  // the view owns and mutates its EDB
-  view->state_.edb.EnableVersioning(0);
-  view->state_.version = 0;
-
-  EvalOptions eval;
-  eval.compiled = prepared.compiled.get();
-  Evaluator evaluator(prepared.program(), eval);
-  Result<Database> idb = evaluator.Evaluate(view->state_.edb);
-  if (!idb.ok()) return idb.status();
-  view->state_.idb = std::move(idb).value();
-  view->state_.idb.EnableVersioning(0);
-
-  InitializeDerivationCounts(prepared.program(), view->plan_, &view->state_);
+  view->plan_ = plan.take();
+  view->state_ = state.take();
   return view;
 }
 

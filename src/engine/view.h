@@ -63,11 +63,11 @@ class MaterializedView {
   friend class Session;
   MaterializedView() = default;
 
-  // Builds the view: copies `base` as the versioned EDB, evaluates the
-  // prepared program to the initial IDB, and initializes derivation
-  // counts. Called by Session::Materialize with the session's facts.
+  // Builds the view over `base`, which becomes its versioned EDB
+  // (MaterializeState). Called by Session::Materialize with a fresh copy of
+  // the session's facts.
   static Result<std::unique_ptr<MaterializedView>> Create(
-      const PreparedProgram& prepared, const Database& base);
+      const PreparedProgram& prepared, Database base);
 
   const PreparedProgram* prepared_ = nullptr;
   MaintenancePlan plan_;

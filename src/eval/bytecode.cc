@@ -111,178 +111,255 @@ int32_t InternConst(CompiledRule* out, const Value& v) {
   return static_cast<int32_t>(out->consts.size() - 1);
 }
 
-ArgSrc LowerArg(CompiledRule* out, const ArgRef& a) {
-  return a.var < 0 ? ConstSrc(InternConst(out, a.const_val)) : RegSrc(a.var);
-}
+// One variable of the rule being lowered.
+struct VarSlot {
+  VarId var;
+  int32_t reg = -1;    // assigned when the first placed step mentions it
+  bool bound = false;  // loaded by an earlier join level, or by the head
+};
 
 }  // namespace
 
-CompiledRule CompileRulePlan(const RulePlan& plan,
-                             const std::set<PredId>& idb_preds,
-                             bool head_bound) {
+CompiledRule CompileRule(const Rule& rule, int rule_index, int delta_subgoal,
+                         const std::set<PredId>& idb_preds, bool head_bound) {
   CompiledRule out;
+  out.rule_index = rule_index;
+  out.delta_subgoal = delta_subgoal;
+  out.head_pred = rule.head.pred();
+  out.head_arity = rule.head.arity();
   out.head_bound = head_bound;
-  out.rule_index = plan.rule_index;
-  out.delta_subgoal = plan.delta_subgoal;
-  out.num_regs = plan.num_vars;
-  out.head_pred = plan.head_pred;
-  out.head_arity = static_cast<int>(plan.head.size());
+  SQOD_CHECK_MSG(rule.head.arity() <= Relation::kMaxArity,
+                 rule.head.ToString().c_str());
 
   // Sized up front: two action ranges (≤ 2 instrs per atom column each)
-  // plus opener/jump per level, one instr per filter/negation, one emit.
-  size_t code_guess = 1, args_guess = plan.head.size();
-  for (const PlanStep& step : plan.steps) {
-    code_guess += 2 * step.args.size() + 2;
-    args_guess += step.args.size();
+  // plus opener/jump per level, two per filter, one emit.
+  size_t code_guess = 1 + 2 * rule.comparisons.size();
+  size_t args_guess = rule.head.args().size();
+  for (const Literal& l : rule.body) {
+    code_guess += 2 * l.atom.args().size() + 2;
+    args_guess += l.atom.args().size();
   }
   out.code.reserve(code_guess);
   out.args_pool.reserve(args_guess);
 
-  // Registers hold the rule's variables under the plan's dense renumbering.
-  // A register is bound (holds a live value) from the first join level that
-  // loads it — a static property of the plan order, tracked here at compile
-  // time so the executor never tests boundness. Fixed-size buffers: arity
-  // is capped at Relation::kMaxArity and plans are compiled in bulk at
-  // Prepare, so per-level heap churn would dominate the lowering cost.
-  std::vector<uint8_t> reg_bound(plan.num_vars, 0);
+  // Registers are numbered in order of first appearance along the placed
+  // steps. Boundness is a static property of the placement order, tracked
+  // here so the executor never tests it: a variable is bound from the first
+  // join level that loads it (from the start for a head-bound plan, whose
+  // prologue loads the head registers from a candidate tuple).
+  std::vector<VarSlot> vars;
+  auto slot = [&](VarId v) -> VarSlot& {
+    for (VarSlot& s : vars) {
+      if (s.var == v) return s;
+    }
+    vars.push_back({v});
+    return vars.back();
+  };
+  auto is_bound = [&](const Term& t) {
+    return t.is_const() || slot(t.var()).bound;
+  };
+  auto reg_of = [&](const Term& t) {
+    VarSlot& s = slot(t.var());
+    if (s.reg < 0) s.reg = out.num_regs++;
+    return s.reg;
+  };
+  auto lower_arg = [&](const Term& t) -> ArgSrc {
+    return t.is_const() ? ConstSrc(InternConst(&out, t.value()))
+                        : RegSrc(reg_of(t));
+  };
   if (head_bound) {
-    for (const ArgRef& a : plan.head) {
-      if (a.var >= 0) reg_bound[a.var] = 1;
+    for (const Term& t : rule.head.args()) {
+      if (t.is_var()) slot(t.var()).bound = true;
     }
   }
 
-  for (const PlanStep& step : plan.steps) {
-    switch (step.kind) {
-      case PlanStep::Kind::kComparison: {
-        Instr in;
-        in.op = OpCode::kFilterCmp;
-        in.a = static_cast<uint8_t>(step.op);
-        in.b = LowerArg(&out, step.lhs);
-        in.c = LowerArg(&out, step.rhs);
-        out.code.push_back(in);
-        break;
+  // The delta subgoal opens the body even when negated: the maintainer's
+  // delta of "not B" is a scan over the finite change to B.
+  auto negated = [&](size_t i) {
+    return rule.body[i].negated && static_cast<int>(i) != delta_subgoal;
+  };
+  std::vector<uint8_t> done_body(rule.body.size(), 0);
+  std::vector<uint8_t> done_cmp(rule.comparisons.size(), 0);
+
+  auto place_join = [&](int index) {
+    const Atom& a = rule.body[index].atom;
+    SQOD_CHECK_MSG(a.arity() <= Relation::kMaxArity, a.ToString().c_str());
+    LevelInfo lvl;
+    lvl.pred = a.pred();
+    lvl.body_index = index;
+    if (idb_preds.count(a.pred()) == 0) {
+      lvl.source = RelSource::kEdb;
+    } else if (index == delta_subgoal) {
+      lvl.source = RelSource::kIdbDelta;
+    } else {
+      lvl.source = RelSource::kIdbTotal;
+    }
+    lvl.arity = a.arity();
+    const std::vector<Term>& args = a.args();
+    int32_t regs[Relation::kMaxArity];
+    for (int i = 0; i < lvl.arity; ++i) {
+      regs[i] = args[i].is_const() ? -1 : reg_of(args[i]);
+    }
+
+    // The probe mask: constants plus variables bound by EARLIER levels (or
+    // by the head prologue). A variable first bound by this atom is unbound
+    // for masking purposes even when it repeats within the atom (the repeat
+    // becomes an unmasked register compare against the freshly loaded
+    // column).
+    uint64_t first_load = 0;
+    for (int i = 0; i < lvl.arity; ++i) {
+      if (is_bound(args[i])) {
+        lvl.mask |= uint64_t{1} << i;
+      } else if (std::find(regs, regs + i, regs[i]) == regs + i) {
+        first_load |= uint64_t{1} << i;
       }
-      case PlanStep::Kind::kNegation: {
+    }
+    for (const Term& t : args) {
+      if (t.is_var()) slot(t.var()).bound = true;
+    }
+
+    // Key sources, in mask-column order (what Relation::Probe expects).
+    lvl.key_off = static_cast<uint32_t>(out.args_pool.size());
+    for (int i = 0; i < lvl.arity; ++i) {
+      if ((lvl.mask >> i) & 1) {
+        out.args_pool.push_back(lower_arg(args[i]));
+        ++lvl.key_len;
+      }
+    }
+
+    Instr open;
+    open.op = lvl.mask != 0 ? OpCode::kProbeIndex
+              : lvl.source == RelSource::kIdbDelta ? OpCode::kScanDelta
+                                                   : OpCode::kScanFull;
+    open.b = static_cast<int32_t>(out.levels.size());
+    lvl.open_ip = static_cast<uint32_t>(out.code.size());
+    out.code.push_back(open);
+
+    // Probe-action range: rows from an index probe already match every
+    // masked column, so only unmasked columns need work — loads for first
+    // occurrences, register compares for in-atom repeats.
+    lvl.probe_ip = static_cast<uint32_t>(out.code.size());
+    for (int i = 0; i < lvl.arity; ++i) {
+      if ((lvl.mask >> i) & 1) continue;
+      Instr in;
+      in.a = static_cast<uint8_t>(i);
+      in.b = regs[i];
+      in.op = (first_load >> i) & 1 ? OpCode::kLoadCol : OpCode::kCheckCol;
+      out.code.push_back(in);
+    }
+    // Skip the scan-action range below.
+    const size_t jmp_ip = out.code.size();
+    out.code.push_back({OpCode::kJump});
+
+    // Scan-action range: rows from a full scan (no index, or indexes
+    // disabled at runtime) must check every column.
+    lvl.scan_ip = static_cast<uint32_t>(out.code.size());
+    for (int i = 0; i < lvl.arity; ++i) {
+      Instr in;
+      in.a = static_cast<uint8_t>(i);
+      if (args[i].is_const()) {
+        in.op = OpCode::kCheckConst;
+        in.b = InternConst(&out, args[i].value());
+      } else {
+        in.op = (first_load >> i) & 1 ? OpCode::kLoadCol : OpCode::kCheckCol;
+        in.b = regs[i];
+      }
+      out.code.push_back(in);
+    }
+    lvl.post_ip = static_cast<uint32_t>(out.code.size());
+    out.code[jmp_ip].b = static_cast<int32_t>(lvl.post_ip);
+    out.levels.push_back(lvl);
+    done_body[index] = 1;
+  };
+
+  // Comparisons and negations go at the earliest point where all their
+  // variables are bound.
+  auto place_ready_filters = [&] {
+    bool progress = true;
+    while (progress) {
+      progress = false;
+      for (size_t i = 0; i < rule.comparisons.size(); ++i) {
+        const Comparison& c = rule.comparisons[i];
+        if (done_cmp[i] || !is_bound(c.lhs) || !is_bound(c.rhs)) continue;
+        Instr in{OpCode::kFilterCmp, static_cast<uint8_t>(c.op)};
+        in.b = lower_arg(c.lhs);
+        in.c = lower_arg(c.rhs);
+        out.code.push_back(in);
+        done_cmp[i] = 1;
+        progress = true;
+      }
+      for (size_t i = 0; i < rule.body.size(); ++i) {
+        const Atom& a = rule.body[i].atom;
+        if (done_body[i] || !negated(i) ||
+            !std::all_of(a.args().begin(), a.args().end(), is_bound)) {
+          continue;
+        }
+        SQOD_CHECK_MSG(a.arity() <= Relation::kMaxArity, a.ToString().c_str());
         NegInfo neg;
-        neg.pred = step.pred;
-        neg.body_index = step.index;
-        neg.source = idb_preds.count(step.pred) > 0 ? RelSource::kIdbTotal
-                                                    : RelSource::kEdb;
-        neg.arity = static_cast<int>(step.args.size());
+        neg.pred = a.pred();
+        neg.body_index = static_cast<int>(i);
+        neg.source = idb_preds.count(a.pred()) > 0 ? RelSource::kIdbTotal
+                                                   : RelSource::kEdb;
+        neg.arity = a.arity();
         neg.args_off = static_cast<uint32_t>(out.args_pool.size());
-        neg.args_len = static_cast<uint16_t>(step.args.size());
-        for (const ArgRef& a : step.args) {
-          out.args_pool.push_back(LowerArg(&out, a));
-        }
-        Instr in;
-        in.op = OpCode::kCheckNeg;
-        in.b = static_cast<int32_t>(out.negs.size());
+        neg.args_len = static_cast<uint16_t>(a.arity());
+        for (const Term& t : a.args()) out.args_pool.push_back(lower_arg(t));
+        out.code.push_back(
+            {OpCode::kCheckNeg, 0, static_cast<int32_t>(out.negs.size())});
         out.negs.push_back(neg);
-        out.code.push_back(in);
-        break;
-      }
-      case PlanStep::Kind::kJoin: {
-        LevelInfo lvl;
-        lvl.pred = step.pred;
-        lvl.body_index = step.index;
-        if (idb_preds.count(step.pred) == 0) {
-          lvl.source = RelSource::kEdb;
-        } else if (step.index == plan.delta_subgoal) {
-          lvl.source = RelSource::kIdbDelta;
-        } else {
-          lvl.source = RelSource::kIdbTotal;
-        }
-        lvl.arity = static_cast<int>(step.args.size());
-
-        // The probe mask: constants plus registers bound by EARLIER levels
-        // (or by the head prologue). Boundness at a plan position does not
-        // depend on the data, and a variable first bound by this atom is
-        // unbound for masking purposes even when it repeats within the atom
-        // (the repeat becomes an unmasked register compare against the
-        // freshly loaded column).
-        uint64_t first_load = 0;
-        int32_t atom_loads[Relation::kMaxArity];
-        int num_atom_loads = 0;
-        for (int i = 0; i < lvl.arity; ++i) {
-          const ArgRef& a = step.args[i];
-          if (a.var < 0 || reg_bound[a.var]) {
-            lvl.mask |= uint64_t{1} << i;
-          } else if (std::find(atom_loads, atom_loads + num_atom_loads,
-                               a.var) == atom_loads + num_atom_loads) {
-            first_load |= uint64_t{1} << i;
-            atom_loads[num_atom_loads++] = a.var;
-          }
-        }
-        for (int k = 0; k < num_atom_loads; ++k) reg_bound[atom_loads[k]] = 1;
-
-        // Key sources, in mask-column order (what Relation::Probe expects).
-        lvl.key_off = static_cast<uint32_t>(out.args_pool.size());
-        for (int i = 0; i < lvl.arity; ++i) {
-          if ((lvl.mask >> i) & 1) {
-            out.args_pool.push_back(LowerArg(&out, step.args[i]));
-            ++lvl.key_len;
-          }
-        }
-
-        const int32_t level_idx = static_cast<int32_t>(out.levels.size());
-        Instr open;
-        open.op = lvl.mask != 0 ? OpCode::kProbeIndex
-                  : lvl.source == RelSource::kIdbDelta ? OpCode::kScanDelta
-                                                       : OpCode::kScanFull;
-        open.b = level_idx;
-        lvl.open_ip = static_cast<uint32_t>(out.code.size());
-        out.code.push_back(open);
-
-        // Probe-action range: rows from an index probe already match every
-        // masked column, so only unmasked columns need work — loads for
-        // first occurrences, register compares for in-atom repeats.
-        lvl.probe_ip = static_cast<uint32_t>(out.code.size());
-        for (int i = 0; i < lvl.arity; ++i) {
-          if ((lvl.mask >> i) & 1) continue;
-          Instr in;
-          in.a = static_cast<uint8_t>(i);
-          in.b = step.args[i].var;
-          in.op = (first_load >> i) & 1 ? OpCode::kLoadCol : OpCode::kCheckCol;
-          out.code.push_back(in);
-        }
-        // Skip the scan-action range below.
-        Instr jmp;
-        jmp.op = OpCode::kJump;
-        const size_t jmp_ip = out.code.size();
-        out.code.push_back(jmp);
-
-        // Scan-action range: rows from a full scan (no index, or indexes
-        // disabled at runtime) must check every column.
-        lvl.scan_ip = static_cast<uint32_t>(out.code.size());
-        for (int i = 0; i < lvl.arity; ++i) {
-          Instr in;
-          in.a = static_cast<uint8_t>(i);
-          const ArgRef& a = step.args[i];
-          if (a.var < 0) {
-            in.op = OpCode::kCheckConst;
-            in.b = InternConst(&out, a.const_val);
-          } else if ((first_load >> i) & 1) {
-            in.op = OpCode::kLoadCol;
-            in.b = a.var;
-          } else {
-            in.op = OpCode::kCheckCol;
-            in.b = a.var;
-          }
-          out.code.push_back(in);
-        }
-        lvl.post_ip = static_cast<uint32_t>(out.code.size());
-        out.code[jmp_ip].b = static_cast<int32_t>(lvl.post_ip);
-        out.levels.push_back(lvl);
-        break;
+        done_body[i] = 1;
+        progress = true;
       }
     }
+  };
+
+  place_ready_filters();  // ground comparisons, if any
+  if (delta_subgoal >= 0) {
+    place_join(delta_subgoal);
+    place_ready_filters();
+  }
+  for (;;) {
+    // Pick the positive subgoal with the most bound argument positions —
+    // more bound keys means a narrower index probe. Ties break toward the
+    // fewest unbound positions: with equal probe selectivity, the subgoal
+    // introducing fewer free variables grows the binding set least, so the
+    // joins downstream of it scan smaller intermediates. Equal on both
+    // counts keeps body order.
+    int best = -1;
+    int best_score = -1;
+    int best_unbound = -1;
+    for (size_t i = 0; i < rule.body.size(); ++i) {
+      if (done_body[i] || negated(i)) continue;
+      const std::vector<Term>& args = rule.body[i].atom.args();
+      const int score =
+          static_cast<int>(std::count_if(args.begin(), args.end(), is_bound));
+      const int unbound = static_cast<int>(args.size()) - score;
+      if (score > best_score ||
+          (score == best_score && unbound < best_unbound)) {
+        best_score = score;
+        best_unbound = unbound;
+        best = static_cast<int>(i);
+      }
+    }
+    if (best == -1) break;
+    place_join(best);
+    place_ready_filters();
+  }
+  // Safety guarantees every negation and comparison was placed.
+  for (size_t i = 0; i < rule.body.size(); ++i) {
+    SQOD_CHECK_MSG(done_body[i], rule.ToString().c_str());
+  }
+  for (size_t i = 0; i < rule.comparisons.size(); ++i) {
+    SQOD_CHECK_MSG(done_cmp[i], rule.ToString().c_str());
   }
 
+  const int body_regs = out.num_regs;
   out.head_off = static_cast<uint32_t>(out.args_pool.size());
-  for (const ArgRef& a : plan.head) out.args_pool.push_back(LowerArg(&out, a));
-  Instr emit;
-  emit.op = OpCode::kEmitHead;
-  out.code.push_back(emit);
+  for (const Term& t : rule.head.args()) out.args_pool.push_back(lower_arg(t));
+  // Safety: every head variable occurs in the body, so lowering the head
+  // assigned no new register (an unloaded one would leak garbage values).
+  SQOD_CHECK_MSG(out.num_regs == body_regs, rule.ToString().c_str());
+  out.code.push_back({OpCode::kEmitHead});
 
   out.kernel = SelectKernel(out);
   return out;
@@ -303,15 +380,11 @@ Result<CompiledProgram> CompileProgram(const Program& program) {
   out.num_rules = static_cast<int>(rules.size());
   out.strata.resize(max_stratum + 1);
 
-  PlanScratch scratch;
   auto lower = [&](const Rule& rule, int rule_index, int first) {
-    RulePlan plan = BuildPlan(rule, rule_index, first, &scratch);
-    CompiledRule cr = CompileRulePlan(plan, out.idb_preds);
+    CompiledRule cr = CompileRule(rule, rule_index, first, out.idb_preds);
     out.max_regs = std::max(out.max_regs, cr.num_regs);
     out.max_levels = std::max(out.max_levels, static_cast<int>(cr.levels.size()));
     out.total_ops += cr.op_count();
-    out.plans.push_back({cr.rule_index, cr.delta_subgoal, cr.kernel,
-                         cr.op_count()});
     return cr;
   };
 

@@ -10,17 +10,17 @@
 #include "src/ast/program.h"
 #include "src/base/status.h"
 #include "src/eval/database.h"
-#include "src/eval/plan.h"
 
 namespace sqod {
 
-// Flat register bytecode for rule plans (docs/evaluator.md, "Compiled
+// Flat register bytecode for rule bodies (docs/evaluator.md, "Compiled
 // bytecode"), the only code that runs a rule body: full evaluation, the
 // parallel partition tasks and incremental view maintenance all execute
-// it. At Prepare time each RulePlan is lowered into a dense instruction
-// array over rule-local value registers: join levels open as SCAN_FULL /
-// SCAN_DELTA / PROBE_INDEX ops with statically-resolved relation sources
-// and probe masks (boundness is a compile-time fact of the plan order),
+// it. At Prepare time CompileRule lowers each (rule, delta-subgoal) pair
+// straight from the AST into a dense instruction array over rule-local
+// value registers: join levels open as SCAN_FULL / SCAN_DELTA /
+// PROBE_INDEX ops with statically-resolved relation sources and probe
+// masks (boundness is a compile-time fact of the body order),
 // per-row column ops load or check registers, filters compare pre-resolved
 // sources, and EMIT_HEAD materializes the head. The executor is a tight
 // dispatch loop with an explicit cursor stack — no per-tuple Kind switches
@@ -161,14 +161,15 @@ struct CompiledProgram {
   int64_t compile_ns = 0;  // wall time spent lowering
   int64_t total_ops = 0;   // static op count over all plans
 
-  // Per-plan summary for EXPLAIN/ANALYZE.
-  struct PlanInfo {
-    int rule_index = -1;
-    int delta_subgoal = -1;
-    KernelId kernel = KernelId::kGeneric;
-    int op_count = 0;
-  };
-  std::vector<PlanInfo> plans;
+  // Visits every plan in EXPLAIN order: per stratum, its full plans, then
+  // its delta plans.
+  template <typename F>
+  void ForEachRule(F&& f) const {
+    for (const Stratum& st : strata) {
+      for (const CompiledRule& cr : st.full) f(cr);
+      for (const CompiledRule& cr : st.delta) f(cr);
+    }
+  }
 };
 
 // Lowers every (rule, delta-subgoal) plan of `program` to bytecode and
@@ -177,13 +178,14 @@ struct CompiledProgram {
 // one artifact serves naive and semi-naive iteration, probes and scans.
 Result<CompiledProgram> CompileProgram(const Program& program);
 
-// Lowers one plan. `idb_preds` resolves each level's RelSource (the
-// plan's delta_subgoal reads the delta). `head_bound` lowers a plan built
-// with BuildPlan(..., head_bound = true): its head registers count as
-// bound from the start.
-CompiledRule CompileRulePlan(const RulePlan& plan,
-                             const std::set<PredId>& idb_preds,
-                             bool head_bound = false);
+// Lowers one (rule, delta-subgoal) pair straight from the AST, choosing the
+// body order greedily as it emits (docs/evaluator.md, "Lowering"). The
+// delta subgoal (body index, or -1 for none) opens the body, even when
+// negated. `idb_preds` resolves each level's RelSource. `head_bound` treats
+// the head variables as bound from the start (DRed support checks).
+CompiledRule CompileRule(const Rule& rule, int rule_index, int delta_subgoal,
+                         const std::set<PredId>& idb_preds,
+                         bool head_bound = false);
 
 struct RuleProfile;
 

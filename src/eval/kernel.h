@@ -6,7 +6,7 @@
 namespace sqod {
 
 // Specialized join kernels layered over the bytecode executor. The compiler
-// (CompileRulePlan) calls SelectKernel once per plan; RunCompiled is the one
+// (CompileRule) calls SelectKernel once per plan; RunCompiled is the one
 // entry point that runs a rule body — the evaluator's serial path, its
 // parallel partition tasks and the view maintainer all call it per
 // activation — and dispatches to the matching kernel or falls back to the

@@ -196,13 +196,11 @@ Result<MaintenancePlan> BuildMaintenancePlan(const Program& program) {
 
   const std::vector<Rule>& rules = program.rules();
   plan.rules.resize(rules.size());
-  PlanScratch scratch;
   for (int r = 0; r < static_cast<int>(rules.size()); ++r) {
     const Rule& rule = rules[r];
-    auto lower = [&](const Rule& body, int first, bool head_bound = false) {
-      CompiledRule cr = CompileRulePlan(
-          BuildPlan(body, r, first, &scratch, head_bound), plan.idb_preds,
-          head_bound);
+    auto lower = [&](int first, bool head_bound = false) {
+      CompiledRule cr =
+          CompileRule(rule, r, first, plan.idb_preds, head_bound);
       plan.max_regs = std::max(plan.max_regs, cr.num_regs);
       return cr;
     };
@@ -226,18 +224,12 @@ Result<MaintenancePlan> BuildMaintenancePlan(const Program& program) {
           plan.stratum_of.at(lit.atom.pred()) == stratum) {
         st.recursive = true;
       }
-      if (lit.negated) {
-        // The delta of "not B" is a finite scan over the change to B:
-        // flip the literal positive so BuildPlan can open the body there.
-        Rule flipped = rule;
-        flipped.body[i].negated = false;
-        rm.delta_plans.push_back(lower(flipped, i));
-      } else {
-        rm.delta_plans.push_back(lower(rule, i));
-      }
+      // A negated literal opens its delta plan as a join: the delta of
+      // "not B" is a finite scan over the change to B.
+      rm.delta_plans.push_back(lower(i));
     }
-    rm.support_plan = lower(rule, -1, /*head_bound=*/true);
-    rm.init_plan = lower(rule, -1);
+    rm.support_plan = lower(-1, /*head_bound=*/true);
+    rm.init_plan = lower(-1);
   }
   return plan;
 }
@@ -676,53 +668,9 @@ Status NetBatch(const MaintenancePlan& plan, const FactDelta& delta,
   return Status::Ok();
 }
 
-// Full-fixpoint fallback: evaluate the program over the (already stamped)
-// new EDB and diff the fresh IDB against the materialized one, stamping
-// transitions at the current version. Counts are rebuilt from scratch.
-Status RecomputeState(const Program& program, const MaintenancePlan& plan,
-                      const EvalOptions& eval, MaterializedState* state,
-                      MaintainStats* stats) {
-  Evaluator evaluator(program, eval);
-  Result<Database> fresh = evaluator.Evaluate(state->edb);
-  if (!fresh.ok()) return fresh.status();
-  const int64_t v = state->version;
-
-  for (const auto& [pred, frel] : fresh.value().relations()) {
-    Relation* rel = state->idb.FindOrCreate(pred, frel.arity());
-    for (TupleRef t : frel.rows()) {
-      int32_t row = rel->FindRow(t.data(), t.size());
-      if (row >= 0 && rel->live(row)) continue;
-      if (row < 0) {
-        rel->Insert(t);
-      } else {
-        rel->ReviveRow(row);
-      }
-      ++stats->idb_inserted;
-    }
-  }
-  for (auto& [pred, rel] : *state->idb.mutable_relations()) {
-    const Relation* frel = fresh.value().Find(pred);
-    const int32_t rows = static_cast<int32_t>(rel.size());
-    for (int32_t r = 0; r < rows; ++r) {
-      if (!rel.live(r) || rel.added_version(r) == v) continue;
-      TupleRef t = rel.row(r);
-      if (frel == nullptr || !frel->Contains(t.data(), t.size())) {
-        rel.EraseRow(r);
-        ++stats->idb_deleted;
-      }
-    }
-  }
-
-  InitializeDerivationCounts(program, plan, state);
-  for (const MaintenancePlan::Stratum& st : plan.strata) {
-    if (!st.rules.empty()) ++stats->strata_recomputed;
-  }
-  stats->recomputed = true;
-  return Status::Ok();
-}
-
-}  // namespace
-
+// Computes exact derivation counts for every counting-stratum (i.e.
+// non-recursive) predicate of `plan` by enumerating all rule matches over
+// the current state.
 void InitializeDerivationCounts(const Program& program,
                                 const MaintenancePlan& plan,
                                 MaterializedState* state) {
@@ -751,6 +699,65 @@ void InitializeDerivationCounts(const Program& program,
                });
     }
   }
+}
+
+// Evaluates `program` over state->edb and makes the fixpoint state->idb,
+// with exact derivation counts. The first build (stats == nullptr) adopts
+// the evaluator's database; the recompute fallback diffs the fresh IDB into
+// the materialized one instead, stamping each transition at the current
+// version and counting it in `stats`.
+Status InstallFixpoint(const Program& program, const MaintenancePlan& plan,
+                       const EvalOptions& eval, MaterializedState* state,
+                       MaintainStats* stats) {
+  Evaluator evaluator(program, eval);
+  Result<Database> fresh = evaluator.Evaluate(state->edb);
+  if (!fresh.ok()) return fresh.status();
+  if (stats == nullptr) {
+    state->idb = fresh.take();
+    state->idb.EnableVersioning(0);
+  } else {
+    const int64_t v = state->version;
+    for (const auto& [pred, frel] : fresh.value().relations()) {
+      Relation* rel = state->idb.FindOrCreate(pred, frel.arity());
+      for (TupleRef t : frel.rows()) {
+        int32_t row = rel->FindRow(t.data(), t.size());
+        if (row >= 0 && rel->live(row)) continue;
+        if (row < 0) {
+          rel->Insert(t);
+        } else {
+          rel->ReviveRow(row);
+        }
+        ++stats->idb_inserted;
+      }
+    }
+    for (auto& [pred, rel] : *state->idb.mutable_relations()) {
+      const Relation* frel = fresh.value().Find(pred);
+      const int32_t rows = static_cast<int32_t>(rel.size());
+      for (int32_t r = 0; r < rows; ++r) {
+        if (!rel.live(r) || rel.added_version(r) == v) continue;
+        TupleRef t = rel.row(r);
+        if (frel == nullptr || !frel->Contains(t.data(), t.size())) {
+          rel.EraseRow(r);
+          ++stats->idb_deleted;
+        }
+      }
+    }
+  }
+  InitializeDerivationCounts(program, plan, state);
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<MaterializedState> MaterializeState(const Program& program,
+                                           const MaintenancePlan& plan,
+                                           Database edb,
+                                           const EvalOptions& eval) {
+  MaterializedState state;
+  state.edb = std::move(edb);
+  state.edb.EnableVersioning(0);
+  SQOD_RETURN_IF_ERROR(InstallFixpoint(program, plan, eval, &state, nullptr));
+  return state;
 }
 
 Result<MaintainStats> ApplyDeltaToState(const Program& program,
@@ -805,8 +812,13 @@ Result<MaintainStats> ApplyDeltaToState(const Program& program,
   }
 
   if (recompute) {
+    // Full-fixpoint fallback over the (already stamped) new EDB.
     SQOD_RETURN_IF_ERROR(
-        RecomputeState(program, plan, options.eval, state, &stats));
+        InstallFixpoint(program, plan, options.eval, state, &stats));
+    for (const MaintenancePlan::Stratum& st : plan.strata) {
+      if (!st.rules.empty()) ++stats.strata_recomputed;
+    }
+    stats.recomputed = true;
     stats.maintain_ns = NowNs() - t0;
     return stats;
   }

@@ -91,7 +91,7 @@ struct MaintenancePlan {
   struct RuleMaint {
     int rule_index = -1;
     // Parallel to rule.body. delta_plans[i] evaluates the body with the
-    // delta at position i (a negated literal is flipped positive there: the
+    // delta at position i (a negated literal opens there as a join: the
     // delta of "not B" is a scan over the finite change to B).
     std::vector<CompiledRule> delta_plans;
     std::vector<uint8_t> negated;   // rule.body[i].negated
@@ -130,13 +130,15 @@ struct MaterializedState {
   int64_t version = 0;
 };
 
-// Computes exact derivation counts for every counting-stratum (i.e.
-// non-recursive) predicate of `plan` by enumerating all rule matches over
-// the current state. Called once at materialization and again after a
-// recompute fallback.
-void InitializeDerivationCounts(const Program& program,
-                                const MaintenancePlan& plan,
-                                MaterializedState* state);
+// Builds the warm state of `program` over `edb`: versions the EDB at
+// snapshot 0, evaluates the fixpoint under `eval` and adopts it as the IDB,
+// and seeds the exact derivation count of every counting-stratum tuple.
+// The one way a MaterializedState comes into being; the recompute fallback
+// of ApplyDeltaToState shares its evaluate-install-count step.
+Result<MaterializedState> MaterializeState(const Program& program,
+                                           const MaintenancePlan& plan,
+                                           Database edb,
+                                           const EvalOptions& eval);
 
 struct ApplyDeltaOptions {
   // Evaluation options for the recompute fallback (and nothing else; the

@@ -37,7 +37,7 @@ namespace sqod {
 class Relation {
  public:
   // Column masks are uint64_t bitsets, so probe keys cap the arity.
-  static constexpr int kMaxArity = 64;
+  static constexpr int kMaxArity = sqod::kMaxArity;
   // deleted_version of a live row.
   static constexpr int64_t kNeverDeleted = INT64_MAX;
 

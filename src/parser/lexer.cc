@@ -69,12 +69,23 @@ Result<std::vector<Token>> Tokenize(std::string_view source) {
          std::isdigit(static_cast<unsigned char>(source[i + 1])))) {
       size_t j = i + 1;
       while (j < n && std::isdigit(static_cast<unsigned char>(source[j]))) ++j;
-      int64_t value = 0;
-      bool negative = source[i] == '-';
+      // Accumulate the magnitude unsigned: the literal must fit int64_t,
+      // whose negative range is one wider than its positive range.
+      const bool negative = source[i] == '-';
+      const uint64_t limit =
+          negative ? uint64_t{1} << 63 : (uint64_t{1} << 63) - 1;
+      uint64_t magnitude = 0;
       for (size_t k = i + (negative ? 1 : 0); k < j; ++k) {
-        value = value * 10 + (source[k] - '0');
+        const uint64_t digit = static_cast<uint64_t>(source[k] - '0');
+        if (magnitude > (limit - digit) / 10) {
+          return Status::InvalidArgument(
+              "integer literal " + std::string(source.substr(i, j - i)) +
+              " out of 64-bit range at " + Where(line, start_col));
+        }
+        magnitude = magnitude * 10 + digit;
       }
-      if (negative) value = -value;
+      const int64_t value = negative ? static_cast<int64_t>(0 - magnitude)
+                                     : static_cast<int64_t>(magnitude);
       Token t{TokenKind::kInteger, "", value, line, start_col};
       tokens.push_back(std::move(t));
       advance(j - i);

@@ -123,6 +123,7 @@ class Parser {
 
   Result<Atom> ParseAtom() {
     if (!Check(TokenKind::kIdent)) return ErrorHere("expected a predicate");
+    const Token& start = Peek();
     std::string pred = Advance().text;
     std::vector<Term> args;
     if (Eat(TokenKind::kLParen)) {
@@ -134,6 +135,13 @@ class Parser {
         } while (Eat(TokenKind::kComma));
       }
       if (!Eat(TokenKind::kRParen)) return ErrorHere("expected ')'");
+    }
+    if (args.size() > static_cast<size_t>(kMaxArity)) {
+      return Status::InvalidArgument(
+          "atom " + pred + "/" + std::to_string(args.size()) + " at line " +
+          std::to_string(start.line) + ", column " +
+          std::to_string(start.column) + " exceeds the maximum arity " +
+          std::to_string(kMaxArity));
     }
     return Atom(pred, std::move(args));
   }

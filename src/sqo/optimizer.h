@@ -83,6 +83,12 @@ struct PassRunInfo {
   int comparisons_after = 0;
 
   bool ran() const { return !disabled && !skipped; }
+  int rules_delta() const { return rules_after - rules_before; }
+  int literals_delta() const { return literals_after - literals_before; }
+  int negations_delta() const { return negations_after - negations_before; }
+  int comparisons_delta() const {
+    return comparisons_after - comparisons_before;
+  }
 };
 
 struct SqoReport {

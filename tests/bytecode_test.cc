@@ -27,8 +27,8 @@ Tuple Ints(std::initializer_list<int64_t> vals) {
 CompiledRule Compile(const std::string& text, bool head_bound = false) {
   Result<Rule> rule = ParseRule(text);
   SQOD_CHECK_MSG(rule.ok(), rule.status().message().c_str());
-  RulePlan plan = BuildPlan(rule.value(), 0, -1, nullptr, head_bound);
-  return CompileRulePlan(plan, {rule.value().head.pred()}, head_bound);
+  return CompileRule(rule.value(), 0, -1, {rule.value().head.pred()},
+                     head_bound);
 }
 
 // Collects head tuples; stops the activation after `limit` of them.

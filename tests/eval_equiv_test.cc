@@ -5,7 +5,7 @@
 // nested loops, no indexes, no plans) and exactly the golden work counters
 // in tests/golden/eval_counters.golden.
 //
-// The goldens were captured from the PlanStep interpreter the bytecode
+// The goldens were captured from the plan interpreter the bytecode
 // replaced, so they pin the interpreter's counter semantics: per-rule
 // firings, derived, duplicates, probes and cmp_checks at every
 // (semi_naive, use_indexes) point, for both executors and every thread

@@ -13,7 +13,6 @@
 #include "src/engine/engine.h"
 #include "src/engine/explain.h"
 #include "src/eval/bytecode.h"
-#include "src/eval/plan.h"
 #include "src/obs/json.h"
 #include "src/parser/parser.h"
 
@@ -35,11 +34,16 @@ constexpr const char* kFigure1 = R"(
 std::map<std::pair<int, int>, std::string> KernelsByPlan(
     const CompiledProgram& compiled) {
   std::map<std::pair<int, int>, std::string> kernels;
-  for (const CompiledProgram::PlanInfo& plan : compiled.plans) {
-    kernels[{plan.rule_index, plan.delta_subgoal}] =
-        KernelName(plan.kernel);
-  }
+  compiled.ForEachRule([&](const CompiledRule& cr) {
+    kernels[{cr.rule_index, cr.delta_subgoal}] = KernelName(cr.kernel);
+  });
   return kernels;
+}
+
+size_t PlanCount(const CompiledProgram& compiled) {
+  size_t plans = 0;
+  compiled.ForEachRule([&](const CompiledRule&) { ++plans; });
+  return plans;
 }
 
 // The canonical rule shapes get the kernels the compiler documents:
@@ -74,9 +78,8 @@ TEST(ExplainGoldenTest, KernelSelectionMatchesRuleShapes) {
   EXPECT_EQ((kernels[{4, 1}]), "scan_probe_emit");
 
   EXPECT_GT(compiled.value().total_ops, 0);
-  for (const CompiledProgram::PlanInfo& plan : compiled.value().plans) {
-    EXPECT_GT(plan.op_count, 0);
-  }
+  compiled.value().ForEachRule(
+      [](const CompiledRule& cr) { EXPECT_GT(cr.op_count(), 0); });
 }
 
 TEST(ExplainGoldenTest, TextReportRendersKernelTable) {
@@ -89,7 +92,7 @@ TEST(ExplainGoldenTest, TextReportRendersKernelTable) {
   EXPECT_TRUE(explain.compiled);
   EXPECT_GT(explain.compile_ns, 0);
   EXPECT_GT(explain.total_ops, 0);
-  EXPECT_EQ(explain.kernels.size(), prepared->compiled->plans.size());
+  EXPECT_EQ(explain.kernels.size(), PlanCount(*prepared->compiled));
 
   std::string text = explain.ToText();
   EXPECT_NE(text.find("== kernels =="), std::string::npos);
@@ -135,7 +138,7 @@ TEST(ExplainGoldenTest, JsonCarriesKernelsAndExecutedOps) {
   EXPECT_NE(kernels->Find("total_ops"), nullptr);
   const JsonValue* plans = kernels->Find("plans");
   ASSERT_NE(plans, nullptr);
-  EXPECT_EQ(plans->array.size(), prepared->compiled->plans.size());
+  EXPECT_EQ(plans->array.size(), PlanCount(*prepared->compiled));
   for (const JsonValue& plan : plans->array) {
     ASSERT_NE(plan.Find("kernel"), nullptr);
     const std::string& name = plan.Find("kernel")->string;
@@ -157,9 +160,8 @@ TEST(ExplainGoldenTest, DisassemblyShowsOpcodeStream) {
     ?- copy.
   )");
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
-  CompiledRule rule =
-      CompileRulePlan(BuildPlan(parsed.value().program.rules()[0], 0, -1),
-                      parsed.value().program.IdbPreds());
+  CompiledRule rule = CompileRule(parsed.value().program.rules()[0], 0, -1,
+                                  parsed.value().program.IdbPreds());
   std::string text = rule.ToString();
   EXPECT_NE(text.find("SCAN_FULL"), std::string::npos);
   EXPECT_NE(text.find("LOAD_COL"), std::string::npos);

@@ -32,12 +32,17 @@
 #include "src/parser/parser.h"
 #include "src/service/query_service.h"
 #include "src/workload/graphs.h"
+#include "tests/ivm_programs.h"
 #include "tests/reference_eval.h"
 
 namespace sqod {
 namespace {
 
 using FuzzRng = std::mt19937_64;
+using ivm_programs::kComparisonRules;
+using ivm_programs::kJoinRules;
+using ivm_programs::kNegationRules;
+using ivm_programs::kTcRules;
 
 Atom Fact1(const char* pred, int64_t a) {
   return Atom(pred, {Term::Int(a)});
@@ -113,15 +118,10 @@ class IvmHarness {
     options_.recompute_fraction = recompute_fraction;
     options_.force_recompute = force_recompute;
 
-    state_.edb = initial_edb;
-    state_.edb.EnableVersioning(0);
-    state_.version = 0;
-    Evaluator evaluator(program_, options_.eval);
-    Result<Database> idb = evaluator.Evaluate(state_.edb);
-    ASSERT_TRUE(idb.ok()) << idb.status().message();
-    state_.idb = std::move(idb).value();
-    state_.idb.EnableVersioning(0);
-    InitializeDerivationCounts(program_, plan_, &state_);
+    Result<MaterializedState> state =
+        MaterializeState(program_, plan_, initial_edb, options_.eval);
+    ASSERT_TRUE(state.ok()) << state.status().message();
+    state_ = state.take();
 
     oracle_edb_ = initial_edb;
   }
@@ -205,14 +205,8 @@ FactDelta RandomEdgeBatch(FuzzRng* rng, const Database& edb, const char* pred,
 
 // --- recursive strata: DRed under random churn ---------------------------
 
-constexpr const char* kTcRules = R"(
-  tc(X, Y) :- edge(X, Y).
-  tc(X, Z) :- tc(X, Y), edge(Y, Z).
-  ?- tc.
-)";
-
 // Per-batch MaintainStats of the scripts below, pinned from the
-// maintainer's previous executor (a PlanStep interpreter of its own): the
+// maintainer's previous executor (a plan interpreter of its own): the
 // compiled delta, support and init plans must do exactly the same
 // maintenance work.
 constexpr const char* kTcStats[] = {
@@ -290,13 +284,6 @@ TEST(IvmEquivTest, CyclicGraphDeletionsRederive) {
 
 // --- non-recursive strata: counting ---------------------------------------
 
-constexpr const char* kJoinRules = R"(
-  q(X, Z) :- a(X, Y), b(Y, Z).
-  twice(X, Z) :- a(X, Y), a(Y, Z).
-  r(X) :- q(X, Y), c(Y).
-  ?- r.
-)";
-
 constexpr const char* kJoinStats[] = {
     "version=1 mode=incremental edb=+2/-3 idb=+9/-10 over_deleted=0 rederived=0 count_updates=42 strata=3i/0r/0s",
     "version=2 mode=incremental edb=+2/-2 idb=+0/-4 over_deleted=0 rederived=0 count_updates=10 strata=2i/0r/1s",
@@ -353,12 +340,6 @@ TEST(IvmEquivTest, CountingMultiJoinWithRepeatedPredicates) {
   }
 }
 
-constexpr const char* kComparisonRules = R"(
-  good(X, Y) :- edge(X, Y), X < Y.
-  far(X) :- good(X, Y), Y >= 8.
-  ?- far.
-)";
-
 TEST(IvmEquivTest, ComparisonAtomsUnderChurn) {
   FuzzRng rng(0xfeed);
   Database edb = MakeRandomGraph(16, 40, &rng);
@@ -374,13 +355,6 @@ TEST(IvmEquivTest, ComparisonAtomsUnderChurn) {
 }
 
 // --- stratified negation over a changing EDB ------------------------------
-
-constexpr const char* kNegationRules = R"(
-  reach(X) :- source(X).
-  reach(Y) :- reach(X), edge(X, Y).
-  unreach(X) :- node(X), !reach(X).
-  ?- unreach.
-)";
 
 constexpr const char* kNegationStats[] = {
     "version=1 mode=incremental edb=+2/-1 idb=+4/-4 over_deleted=0 rederived=0 count_updates=4 strata=2i/0r/0s",

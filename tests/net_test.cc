@@ -326,6 +326,37 @@ TEST(NetTest, MalformedDeltaFactIsRejectedBeforeDispatch) {
   server.Stop();
 }
 
+TEST(NetTest, WideAtomProgramIsRejectedAndTheConnectionSurvives) {
+  Server server(ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Result<Client> connected = ConnectAs(server, "");
+  ASSERT_TRUE(connected.ok());
+  Client& client = connected.value();
+
+  // p(X0, ..., X64) :- e(X0, ..., X64): one column past the storage limit.
+  std::string args;
+  for (int i = 0; i <= 64; ++i) {
+    args += (i == 0 ? "X" : ", X") + std::to_string(i);
+  }
+  const std::string wide =
+      "p(" + args + ") :- e(" + args + ").\n?- p.\n";
+  Result<Response> loaded = client.LoadProgram("wide", wide);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded.value().status.code(), StatusCode::kInvalidArgument)
+      << loaded.value().status.message();
+
+  // The same connection still answers a valid query.
+  QueryParams params;
+  params.source = kChain;
+  Result<Response> query = client.Query(params);
+  ASSERT_TRUE(query.ok()) << query.status().message();
+  ASSERT_TRUE(query.value().status.ok()) << query.value().status.message();
+  EXPECT_EQ(query.value().answers,
+            (std::vector<Tuple>{T(1, 2), T(1, 3), T(2, 3)}));
+  EXPECT_TRUE(client.Close().ok());
+  server.Stop();
+}
+
 // ------------------------------------------------------------ multi-tenancy
 
 TEST(NetTest, TenantsAreIsolatedEvenForIdenticalSessionNames) {

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "src/parser/lexer.h"
 #include "src/parser/parser.h"
 
@@ -48,6 +52,35 @@ TEST(LexerTest, BadCharacterReportsPosition) {
   auto result = Tokenize("p(X) :- q(X);\n");
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("line 1"), std::string::npos);
+}
+
+TEST(LexerTest, IntegerLiteralsSpanExactlyInt64) {
+  auto max = Tokenize("9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status().message();
+  EXPECT_EQ(max.value()[0].number, std::numeric_limits<int64_t>::max());
+  auto min = Tokenize("-9223372036854775808");
+  ASSERT_TRUE(min.ok()) << min.status().message();
+  EXPECT_EQ(min.value()[0].number, std::numeric_limits<int64_t>::min());
+}
+
+TEST(LexerTest, OutOfRangeIntegerLiteralsFailWithPosition) {
+  for (const char* text :
+       {"e(99999999999999999999).", "e(9223372036854775808).",
+        "e(-9223372036854775809).", "e(-99999999999999999999)."}) {
+    auto result = Tokenize(text);
+    ASSERT_FALSE(result.ok()) << text;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << text;
+    EXPECT_NE(result.status().message().find("line 1, column 3"),
+              std::string::npos)
+        << result.status().message();
+  }
+  // The parser entry points surface the lexer's error.
+  auto unit = ParseUnit("p(X) :- e(X).\ne(99999999999999999999).\n?- p.");
+  ASSERT_FALSE(unit.ok());
+  EXPECT_EQ(unit.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unit.status().message().find("line 2, column 3"),
+            std::string::npos)
+      << unit.status().message();
 }
 
 TEST(LexerTest, BangVsNotEqual) {
@@ -142,6 +175,48 @@ TEST(ParserTest, AtomText) {
   Atom a = ParseAtomText("goodPath(X, Y)").take();
   EXPECT_EQ(a.pred(), InternPred("goodPath"));
   EXPECT_EQ(a.arity(), 2);
+}
+
+// "pred(Prefix0, ..., Prefix<n-1>)" with `vars` variables or constants.
+std::string WideAtom(const std::string& pred, int n, bool vars = true) {
+  std::string out = pred + "(";
+  for (int i = 0; i < n; ++i) {
+    if (i > 0) out += ", ";
+    out += vars ? "X" + std::to_string(i) : std::to_string(i);
+  }
+  return out + ")";
+}
+
+TEST(ParserTest, AtomsUpToTheMaximumArityParse) {
+  auto unit = ParseUnit(WideAtom("p", 64) + " :- " + WideAtom("e", 64) +
+                        ".\n" + WideAtom("e", 64, false) + ".\n?- p.");
+  ASSERT_TRUE(unit.ok()) << unit.status().message();
+  EXPECT_EQ(unit.value().program.rules()[0].head.arity(), 64);
+}
+
+TEST(ParserTest, WideAtomsAreRejectedEverywhere) {
+  const std::string wide_rule =
+      "p(X0) :- " + WideAtom("e", 65) + ".\n?- p.";
+  const std::string wide_head =
+      WideAtom("p", 65) + " :- " + WideAtom("e", 65) + ".";
+  const std::string wide_fact = WideAtom("e", 65, false) + ".";
+  const std::string wide_ic = "p(X) :- e(X).\n:- " + WideAtom("e", 65) + ".";
+
+  auto expect_rejected = [](const Status& status, const std::string& atom) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(status.message().find(atom), std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("line"), std::string::npos)
+        << status.message();
+  };
+  expect_rejected(ParseUnit(wide_rule).status(), "e/65");
+  expect_rejected(ParseProgram(wide_head).status(), "p/65");
+  expect_rejected(ParseRule(wide_head).status(), "p/65");
+  expect_rejected(ParseUnit(wide_fact).status(), "e/65");
+  expect_rejected(ParseUnit(wide_ic).status(), "e/65");
+  expect_rejected(ParseConstraint(":- " + WideAtom("e", 65) + ".").status(),
+                  "e/65");
+  expect_rejected(ParseAtomText(WideAtom("e", 65, false)).status(), "e/65");
 }
 
 }  // namespace
